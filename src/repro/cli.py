@@ -245,10 +245,6 @@ def _simulate_zoo(args, spec) -> int:
               "paper stack only; zoo predictors run full detail",
               file=sys.stderr)
         return 2
-    if args.engine not in ("auto", "object"):
-        print(f"--engine {args.engine} is a paper-stack fast path; zoo "
-              f"predictors have a single engine", file=sys.stderr)
-        return 2
     print(f"workload: {spec.name} (scale {args.scale})")
     print(f"predictor: {info.name} — {info.summary}")
     trace = spec.trace(scale=args.scale)
@@ -745,8 +741,7 @@ def _cmd_verify(args) -> int:
     )
     if not args.skip_golden:
         baseline = load_baseline(golden_path)
-        engines = (("object", "batched") if args.engine == "both"
-                   else (args.engine,))
+        engines = ENGINE_MODES if args.engine == "both" else (args.engine,)
         for engine in engines:
             problems = compare_baseline(baseline, jobs=args.jobs,
                                         workloads=workloads,
@@ -885,9 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scale", type=float, default=0.35)
     simulate.add_argument(
         "--engine", choices=ENGINE_MODES, default="auto",
-        help="simulation engine: 'object' is the per-record reference, "
-             "'batched' the chunked fast path (bit-identical), 'auto' "
-             "picks batched unless an observer flag needs per-record hooks "
+        help="simulation engine: 'object' is the per-record reference; "
+             "'auto' runs detailed records through the bit-identical "
+             "batched core unless an observer flag needs per-record hooks "
              "(default: auto)",
     )
     _add_audit_argument(simulate)
@@ -1172,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(substring match; default: all recorded)",
     )
     verify.add_argument(
-        "--engine", choices=("object", "batched", "both"), default="both",
+        "--engine", choices=(*ENGINE_MODES, "both"), default="both",
         help="engine(s) the golden gate re-measures with; 'both' doubles "
              "as the engine bit-identity check (default: both; the "
              "differential campaign always uses the object engine — the "

@@ -3,9 +3,7 @@
 from repro.engine.batched import (
     ENGINE_MODES,
     BatchedSimulator,
-    resolve_engine_mode,
     validate_engine_mode,
-    warm_run_batched,
 )
 from repro.engine.multicore import (
     MulticoreResult,
@@ -26,10 +24,8 @@ __all__ = [
     "TimingParams",
     "ZEC12_CHIP_CONFIG",
     "hardware_timing",
-    "resolve_engine_mode",
     "run_multicore",
     "simulate",
     "system_performance_gain",
     "validate_engine_mode",
-    "warm_run_batched",
 ]

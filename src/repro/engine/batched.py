@@ -53,10 +53,14 @@ chunk end, and run end.  ``TransferEngine.advance`` is prefix-decomposable
 idempotent for an equal clock, so the boundary sync is exact.
 
 Equivalence is enforced three ways: escape-boundary ``state_dict()``
-parity tests (``tests/engine/test_batched.py``), the differential oracle
-and golden 13-workload gate behind ``repro verify --engine batched``, and
-the metamorphic golden-baseline check.  See docs/PERFORMANCE.md for the
-fast/slow path contract and measured throughput.
+parity tests (``tests/engine/test_batched.py``), the golden 13-workload
+gate behind ``repro verify --engine auto``, and the metamorphic
+golden-baseline check.  The core serves detailed simulation only:
+functional warming is faster on the object engine's hoisted
+``Simulator.warm_run``.  :meth:`Simulator.feed
+<repro.engine.simulator.Simulator.feed>` is the one place that picks
+this core.  See docs/PERFORMANCE.md for the fast/slow path contract and
+measured throughput.
 """
 
 from __future__ import annotations
@@ -71,18 +75,18 @@ from repro.core.search import BROADCAST_LATENCY, SEQUENTIAL_CYCLES_PER_ROW
 from repro.trace.record import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.simulator import SimulationResult, Simulator
+    from repro.engine.simulator import Simulator
 
 try:  # pragma: no cover - environment-dependent
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy genuinely absent
     _np = None
 
-#: The three engine modes ``Simulator`` accepts.  ``object`` is the
-#: original per-record engine; ``batched`` is this module's chunked core;
-#: ``auto`` picks ``batched`` exactly when no observer (audit, telemetry,
-#: differential probe) is attached, since observers need per-record hooks.
-ENGINE_MODES = ("object", "batched", "auto")
+#: The engine modes ``Simulator`` accepts.  ``object`` is the original
+#: per-record engine; ``auto`` runs detailed records through this module's
+#: chunked core exactly when no observer (audit, telemetry, differential
+#: probe) is attached, since observers need per-record hooks.
+ENGINE_MODES = ("object", "auto")
 
 #: Records per struct-of-arrays chunk.  Large enough to amortize the
 #: prescan, small enough that a chunk's columns stay cache-resident.
@@ -99,21 +103,6 @@ def validate_engine_mode(mode: str) -> str:
         raise ValueError(
             f"unknown engine_mode {mode!r}; expected one of {ENGINE_MODES}"
         )
-    return mode
-
-
-def resolve_engine_mode(mode: str, *, observed: bool) -> str:
-    """Resolve ``auto`` (and sanity-check the rest) to a concrete engine.
-
-    ``observed`` is whether any per-record observer (audit, telemetry,
-    differential probe) is attached; observers force the object engine
-    under ``auto``.  An explicit ``batched`` request with observers is
-    honored by :meth:`BatchedSimulator.run` falling back internally, so
-    observed runs never silently lose events.
-    """
-    validate_engine_mode(mode)
-    if mode == "auto":
-        return "object" if observed else "batched"
     return mode
 
 
@@ -172,7 +161,8 @@ class BatchedSimulator:
     The wrapper owns no architectural state: every table, counter and clock
     lives in the wrapped simulator, which is why an escape can simply call
     ``sim.step`` on the offending record.  Instances are cheap; one is
-    created per ``run``/``warm_run`` dispatch.
+    created per :meth:`Simulator.feed
+    <repro.engine.simulator.Simulator.feed>` call.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -189,28 +179,13 @@ class BatchedSimulator:
 
     # -- public API ---------------------------------------------------------
 
-    def run(self, records: Iterable[TraceRecord]) -> "SimulationResult":
-        """Simulate ``records`` and return the collected results.
-
-        With an observer attached (audit, telemetry, differential probe)
-        the batched fast path cannot fire per-record hooks, so the run
-        transparently degrades to the object engine's record loop —
-        results are identical either way.
-        """
-        sim = self._sim
-        if sim.audit is not None or sim.telemetry is not None \
-                or sim.probe is not None:
-            for record in records:
-                sim.step(record)
-            return sim.finish()
-        self.feed(records)
-        return sim.finish()
-
     def feed(self, records: Iterable[TraceRecord]) -> None:
         """Consume ``records`` through the fast path without finishing.
 
-        Exposed separately from :meth:`run` so tests can interleave chunked
-        consumption with ``state_dict()`` snapshots.
+        Fires no observer hooks: :meth:`Simulator.feed
+        <repro.engine.simulator.Simulator.feed>` only calls it when none is
+        attached.  Tests call it directly to interleave chunked consumption
+        with ``state_dict()`` snapshots.
         """
         it = iter(records)
         while True:
@@ -697,96 +672,3 @@ class BatchedSimulator:
             preload.advance(sync_cycle)
         return pos, ei, reason
 
-
-def warm_run_batched(sim: "Simulator", records: Iterable[TraceRecord]) -> None:
-    """Batched functional warming: event-only replay of ``warm_step``.
-
-    Warming does no cycle accounting, so quiet records — non-branch,
-    sequential, inside the current i-cache line — have *no* effect at all
-    and are skipped outright; only event records (branches, line
-    crossings, discontinuities) execute the ``warm_run`` body.  Pinned
-    bit-identical to ``Simulator.warm_run`` by the parity suite.
-    """
-    hierarchy = sim.hierarchy
-    btb1_lookup = hierarchy.btb1.lookup
-    btb1_touch = hierarchy.btb1.touch
-    btbp = hierarchy.btbp
-    btbp_lookup = btbp.lookup if btbp is not None else None
-    btbp_is_mru = btbp.is_mru if btbp is not None else None
-    warm_preload = sim._warm_preload if sim.btb2 is not None else None
-    train = hierarchy.train
-    use_prediction = hierarchy.use_prediction
-    surprise_install = hierarchy.surprise_install
-    bht_update = hierarchy.surprise_bht.update
-    history_record = hierarchy.history.record
-    icache_fetch = sim.icache.fetch
-    icache_prefetch = sim.icache._cache.install
-    seen_add = sim._seen_branches.add
-    line_mask = ~(sim.timing.icache_line_bytes - 1)
-    line_shift = sim.timing.icache_line_bytes.bit_length() - 1
-    btbp_level = PredictionLevel.BTBP
-    cycle = int(sim._cycle)
-    started = sim._started
-    carried_expected = sim._expected_address
-    current_line = sim._current_line
-
-    it = iter(records)
-    while True:
-        chunk = list(islice(it, CHUNK_RECORDS))
-        if not chunk:
-            break
-        addrs, nxts, isbr = _columns(chunk)
-        events = _event_indices(addrs, nxts, isbr, line_shift)
-        for k in events:
-            record = chunk[k]
-            address = addrs[k]
-            expected = nxts[k - 1] if k else carried_expected
-            if address != expected:
-                if started:
-                    current_line = -1
-                    sim._line_fills.clear()
-                else:
-                    started = True
-            kind = record.kind
-            if kind is None:
-                line = address & line_mask
-                if line != current_line:
-                    current_line = line
-                    icache_fetch(address, cycle)
-                continue
-            taken = record.taken
-            target = record.target
-            line = address & line_mask
-            if line != current_line:
-                current_line = line
-                icache_fetch(address, cycle)
-            entry = btb1_lookup(address)
-            if entry is not None:
-                btb1_touch(entry)
-                train(entry, record)
-            else:
-                entry = (btbp_lookup(address)
-                         if btbp_lookup is not None else None)
-                if entry is not None:
-                    use_prediction(
-                        RowHit(entry, btbp_level, btbp_is_mru(entry))
-                    )
-                    train(entry, record)
-                else:
-                    if warm_preload is not None:
-                        warm_preload(address)
-                    if taken and target is not None:
-                        surprise_install(record)
-            if taken and target is not None:
-                icache_prefetch(target)
-            bht_update(address, kind, taken)
-            history_record(address, taken)
-            seen_add(address)
-        carried_expected = nxts[-1] if nxts[-1] != -1 else None
-        if not started:
-            # Defensive: a non-empty chunk always has index 0 as an event,
-            # which sets ``started`` above.
-            started = True  # pragma: no cover
-    sim._started = started
-    sim._expected_address = carried_expected
-    sim._current_line = current_line

@@ -26,6 +26,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (audit -> engine)
@@ -38,8 +39,13 @@ from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.core.events import MissReport, OutcomeKind, Prediction, PredictionLevel
 from repro.core.hierarchy import FirstLevelPredictor, RowHit
 from repro.core.search import LookaheadSearch
-from repro.engine.batched import resolve_engine_mode, validate_engine_mode
+from repro.engine.batched import (
+    CHUNK_RECORDS,
+    BatchedSimulator,
+    validate_engine_mode,
+)
 from repro.engine.params import DEFAULT_TIMING, TimingParams
+from repro.engine.predictor import Predictor
 from repro.isa.address import block_address, sector_address
 from repro.metrics.counters import SimCounters
 from repro.preload.engine import PreloadEngine
@@ -69,8 +75,15 @@ class SimulationResult:
         return self.counters.bad_outcome_fraction
 
 
-class Simulator:
-    """One core, one trace, one configuration."""
+class Simulator(Predictor):
+    """One core, one trace, one configuration: the paper's predictor.
+
+    The two-level bulk-preload stack behind the
+    :class:`~repro.engine.predictor.Predictor` contract, registered as
+    ``"paper"`` in :mod:`repro.predictors.registry`.
+    """
+
+    name = "paper"
 
     #: Pending-prefetch map size beyond which completed/evicted entries are
     #: pruned (class attribute so tests can lower it).
@@ -152,32 +165,37 @@ class Simulator:
 
     # -- public API ------------------------------------------------------------
 
-    def resolved_engine_mode(self) -> str:
-        """The concrete engine :meth:`run`/:meth:`warm_run` will use.
-
-        ``auto`` resolves to ``batched`` exactly when no per-record
-        observer (audit, telemetry, differential probe) is attached.
-        """
-        observed = (
-            self.audit is not None
-            or self.telemetry is not None
-            or self.probe is not None
-        )
-        return resolve_engine_mode(self.engine_mode, observed=observed)
-
     def run(self, records: Iterable[TraceRecord]) -> SimulationResult:
-        """Simulate ``records`` and return the collected results.
-
-        Dispatches on :attr:`engine_mode`: the per-record object loop, or
-        the bit-identical batched core of :mod:`repro.engine.batched`.
-        """
-        if self.resolved_engine_mode() == "batched":
-            from repro.engine.batched import BatchedSimulator
-
-            return BatchedSimulator(self).run(records)
-        for record in records:
-            self.step(record)
+        """Simulate ``records`` in detail and return the collected results."""
+        self.feed(records)
         return self.finish()
+
+    def feed(self, records: Iterable[TraceRecord]) -> None:
+        """Consume ``records`` in detailed mode without finishing the run.
+
+        The one place the engine is chosen.  Under ``engine_mode="auto"``
+        with no observer attached (audit, telemetry, differential probe)
+        the records go through the bit-identical batched core of
+        :mod:`repro.engine.batched`, in lists of at most
+        :data:`~repro.engine.batched.CHUNK_RECORDS`; otherwise every
+        record takes :meth:`step`, the path observers hook.  Successive
+        calls continue one run: splitting a trace across feeds (at a
+        measure point, a heartbeat, a service chunk) reaches the same
+        state as one feed over the whole.
+        """
+        if (self.engine_mode == "object" or self.audit is not None
+                or self.telemetry is not None or self.probe is not None):
+            step = self.step
+            for record in records:
+                step(record)
+            return
+        batched = BatchedSimulator(self)
+        it = iter(records)
+        while True:
+            chunk = list(islice(it, CHUNK_RECORDS))
+            if not chunk:
+                return
+            batched.feed(chunk)
 
     def step(self, record: TraceRecord) -> None:
         """Simulate one trace record."""
@@ -312,17 +330,8 @@ class Simulator:
         but with the record loop and every hot attribute lookup hoisted into
         one frame.  Warming throughput bounds sampled-simulation speedup
         (the detailed fraction is small), so this path is worth the
-        duplication.
-
-        Under ``engine_mode in ("batched", "auto")`` the span is consumed
-        by :func:`repro.engine.batched.warm_run_batched`, which skips the
-        (effect-free) quiet records outright — also bit-identical.
+        duplication.  Every engine mode warms through this loop.
         """
-        if self.resolved_engine_mode() == "batched":
-            from repro.engine.batched import warm_run_batched
-
-            warm_run_batched(self, records)
-            return
         hierarchy = self.hierarchy
         btb1 = hierarchy.btb1
         btb1_lookup = btb1.lookup
@@ -349,54 +358,64 @@ class Simulator:
         started = self._started
         expected = self._expected_address
         current_line = self._current_line
-        for record in records:
-            address = record.address
-            if address != expected:
-                if started:
-                    current_line = -1
-                    self._line_fills.clear()
+        try:
+            for record in records:
+                address = record.address
+                if address != expected:
+                    if started:
+                        current_line = -1
+                        self._line_fills.clear()
+                    else:
+                        started = True
+                kind = record.kind
+                if kind is None:
+                    expected = address + record.length
+                    line = address & line_mask
+                    if line != current_line:
+                        current_line = line
+                        icache_fetch(address, cycle)
+                    continue
+                taken = record.taken
+                target = record.target
+                if taken:
+                    if target is None:
+                        # Refused exactly where warm_step's next_address
+                        # refuses it; the finally keeps the state equal.
+                        raise ValueError(
+                            f"taken branch at {address:#x} has no target")
+                    expected = target
                 else:
-                    started = True
-            kind = record.kind
-            if kind is None:
-                expected = address + record.length
+                    expected = address + record.length
                 line = address & line_mask
                 if line != current_line:
                     current_line = line
                     icache_fetch(address, cycle)
-                continue
-            taken = record.taken
-            target = record.target
-            expected = target if taken else address + record.length
-            line = address & line_mask
-            if line != current_line:
-                current_line = line
-                icache_fetch(address, cycle)
-            entry = btb1_lookup(address)
-            if entry is not None:
-                btb1_touch(entry)
-                train(entry, record)
-            else:
-                entry = (btbp_lookup(address)
-                         if btbp_lookup is not None else None)
+                entry = btb1_lookup(address)
                 if entry is not None:
-                    use_prediction(
-                        RowHit(entry, btbp_level, btbp_is_mru(entry))
-                    )
+                    btb1_touch(entry)
                     train(entry, record)
                 else:
-                    if warm_preload is not None:
-                        warm_preload(address)
-                    if taken and target is not None:
-                        surprise_install(record)
-            if taken and target is not None:
-                icache_prefetch(target)
-            bht_update(address, kind, taken)
-            history_record(address, taken)
-            seen_add(address)
-        self._started = started
-        self._expected_address = expected
-        self._current_line = current_line
+                    entry = (btbp_lookup(address)
+                             if btbp_lookup is not None else None)
+                    if entry is not None:
+                        use_prediction(
+                            RowHit(entry, btbp_level, btbp_is_mru(entry))
+                        )
+                        train(entry, record)
+                    else:
+                        if warm_preload is not None:
+                            warm_preload(address)
+                        if taken:
+                            surprise_install(record)
+                if taken:
+                    icache_prefetch(target)
+                bht_update(address, kind, taken)
+                history_record(address, taken)
+                seen_add(address)
+        finally:
+            self._started = started
+            self._expected_address = expected
+            self._current_line = current_line
 
     def begin_interval(self, address: int) -> None:
         """Resynchronize timing machinery at a measured-interval start.

@@ -153,7 +153,7 @@ def run_fingerprint(spec: WorkloadSpec, config: PredictorConfig,
 
     ``engine_mode`` is fingerprinted the same way: only a non-default mode
     extends the payload, so object-engine results keep their historical
-    keys while batched/auto results can never be served from (or poison) an
+    keys while ``auto`` results can never be served from (or poison) an
     object run's slot — even though the engines are verified bit-identical,
     the cache must not *assume* it.
 
@@ -366,10 +366,11 @@ def run_workload(
     :class:`repro.sampling.CheckpointStore` so warmed interval states are
     created once and reused.
 
-    ``engine_mode`` selects the simulation engine
-    (:data:`repro.engine.batched.ENGINE_MODES`); results are verified
-    bit-identical across engines, but each mode caches under its own
-    fingerprint.
+    ``engine_mode`` selects the engine of every detailed record — full,
+    sampled and parallel runs alike (:data:`repro.engine.ENGINE_MODES`,
+    dispatched by :meth:`repro.engine.simulator.Simulator.feed`); warming
+    always uses the object engine.  Results are verified bit-identical
+    across engines, but each mode caches under its own fingerprint.
 
     ``parallel`` switches execution to checkpoint-parallel interval
     simulation (:func:`repro.sampling.run_parallel`): the trace is cut

@@ -80,9 +80,9 @@ class RunSpec:
     #: Checkpoint-store directory for sampled runs (not fingerprinted:
     #: checkpoints change wall time, never results).
     checkpoint_dir: str | None = None
-    #: Simulation engine (:data:`repro.engine.batched.ENGINE_MODES`).
-    #: Part of the fingerprint when non-default, so cached results never
-    #: mix across engines.
+    #: Engine of the detailed records (:data:`repro.engine.ENGINE_MODES`;
+    #: warming always runs the object engine).  Part of the fingerprint
+    #: when non-default, so cached results never mix across engines.
     engine_mode: str = "object"
     #: Checkpoint-parallel plan; ``None`` runs serially.  Part of the
     #: fingerprint (with the resolved backend name): a parallel run's

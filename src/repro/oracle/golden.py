@@ -64,7 +64,7 @@ def measure_workloads(
     """Measure every catalog workload (cached, parallel); name -> metrics.
 
     ``engine_mode`` selects the simulation engine; the golden gate run
-    under ``batched`` doubles as the engine-equivalence check, since the
+    under ``auto`` doubles as the engine-equivalence check, since the
     baseline file is recorded by the object engine.
     """
     from repro.experiments.pool import RunSpec, run_many
@@ -156,7 +156,7 @@ def compare_baseline(
     Re-measurement happens at the baseline's own recorded scale, so the
     file is self-describing.  ``workloads`` restricts the check (smoke
     runs); a full gate checks every workload recorded in the file.
-    ``engine_mode="batched"`` re-measures with the batched engine, making
+    ``engine_mode="auto"`` re-measures with the batched engine, making
     the gate a bit-identity check of the engines against each other.
     """
     relative = float(baseline.get("tolerances", {}).get("relative", 0.0))

@@ -1,16 +1,18 @@
-"""The predictor zoo: a formal interface over competing branch predictors.
+"""The predictor zoo: competing branch predictors behind one contract.
 
-``repro.predictors`` extracts the surface the experiments layer and CLI
-drive on the paper's two-level bulk-preload stack into a formal
-:class:`~repro.predictors.base.Predictor` contract, registers the paper
-stack as one implementation among several (TAGE-like, LDBP-style,
-Bullseye-style), and carries the shared verification machinery: the
-conformance battery, the per-predictor differential references, and the
-per-predictor golden gate.  See docs/ARCHITECTURE.md ("Predictor zoo").
+Every registered predictor implements
+:class:`~repro.engine.predictor.Predictor` (re-exported here).  The
+paper's two-level bulk-preload stack is
+:class:`~repro.engine.simulator.Simulator` itself, registered as
+``"paper"`` beside the zoo members (TAGE-like, LDBP-style,
+Bullseye-style).  The package also carries the shared verification
+machinery: the conformance battery, the per-predictor differential
+references, and the per-predictor golden gate.  See docs/ARCHITECTURE.md
+("Predictor zoo").
 """
 
+from repro.engine.predictor import Predictor
 from repro.predictors.base import (
-    Predictor,
     SetAssociativeTable,
     ZooPrediction,
     ZooPredictor,

@@ -1,26 +1,16 @@
-"""Formal predictor interface and the shared "zoo" sequence engine.
+"""The shared "zoo" sequence engine behind the non-paper predictors.
 
-The paper's two-level bulk-preload stack (``repro.engine.simulator``) was
-historically the only predictor the harness could drive.  This module puts
-that surface behind a formal contract — :class:`Predictor` — so competing
-designs can be registered side by side and flow through the same trace
-plumbing, result cache, experiment pool, and verification gates.
-
-Two layers live here:
-
-* :class:`Predictor` — the abstract contract: ``step``/``warm_step``
-  sequence consumption, ``finish`` producing a
-  :class:`~repro.engine.simulator.SimulationResult`, versioned
-  ``state_dict``/``load_state_dict`` checkpointing, a stable
-  ``model_fingerprint`` for the result cache, and a ``verify_run`` hook the
-  conformance battery calls for audit-clean runs.
-* :class:`ZooPredictor` — the shared sequence engine for the non-paper
-  implementations (TAGE-like, LDBP-style, Bullseye-style).  It owns cycle
-  accounting, the Figure 4 outcome taxonomy, surprise classification
-  through :func:`~repro.isa.opcodes.static_guess`, context-switch
-  detection, a bounded set-associative Branch Identification Table (BIT),
-  and a counter-conservation self-check; subclasses only contribute the
-  direction-prediction state machine.
+The formal contract, :class:`~repro.engine.predictor.Predictor`, lives in
+``repro.engine`` because the paper's two-level bulk-preload stack
+(:class:`~repro.engine.simulator.Simulator`) implements it directly; it is
+re-exported here and from ``repro.predictors``.  This module holds
+:class:`ZooPredictor`, the shared sequence engine for the other
+implementations (TAGE-like, LDBP-style, Bullseye-style).  It owns cycle
+accounting, the Figure 4 outcome taxonomy, surprise classification
+through :func:`~repro.isa.opcodes.static_guess`, context-switch
+detection, a bounded set-associative Branch Identification Table (BIT),
+and a counter-conservation self-check; subclasses only contribute the
+direction-prediction state machine.
 
 Relabel invariance is a hard contract: every index, tag, and history fold
 computed by a zoo predictor uses only address bits below
@@ -33,16 +23,16 @@ asserts this for every registry entry.
 from __future__ import annotations
 
 import abc
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.core.events import OutcomeKind
 from repro.engine.params import DEFAULT_TIMING, TimingParams
+from repro.engine.predictor import Predictor
 from repro.engine.simulator import SimulationResult
-from repro.isa.opcodes import BranchKind, static_guess
+from repro.isa.opcodes import static_guess
 from repro.metrics.counters import SimCounters
 from repro.trace.record import TraceRecord
 
@@ -68,103 +58,6 @@ class ZooPrediction:
 
     taken: bool
     target: int | None = None
-
-
-class Predictor(abc.ABC):
-    """Formal interface every registered branch predictor implements.
-
-    The contract mirrors the surface ``repro.experiments`` and the CLI
-    already drive on the paper engine:
-
-    * ``step(record)`` consumes one trace record in detailed mode;
-      ``run(records)`` is the convenience loop ending in ``finish()``.
-    * ``warm_step(record)`` / ``warm_run(records)`` perform functional
-      warming: structures learn, nothing is accounted.
-    * ``finish()`` seals the run and returns a
-      :class:`~repro.engine.simulator.SimulationResult`.
-    * ``state_dict()`` / ``load_state_dict()`` are versioned, JSON-safe
-      checkpoints with exact save→load→resume reproduction (the
-      conformance battery asserts bit-identity).
-    * ``model_fingerprint()`` identifies the architecture+configuration for
-      the result cache; two predictors that could ever diverge must never
-      share a fingerprint.
-    * ``verify_run(records)`` runs audited and returns a list of problem
-      strings — the audit-clean leg of the conformance battery.
-    * ``probe`` (attribute, default ``None``) is a per-branch observer
-      ``probe(record, prediction, kind, penalty)`` used by the lockstep
-      differential oracle and telemetry consumers.
-    """
-
-    #: Registry name of the implementation (set by subclasses).
-    name: str = ""
-
-    #: Version of the ``state_dict`` schema; ``load_state_dict`` refuses
-    #: snapshots written by another version.
-    STATE_VERSION = 1
-
-    config: PredictorConfig
-    timing: TimingParams
-
-    @abc.abstractmethod
-    def step(self, record: TraceRecord) -> None:
-        """Consume one trace record in detailed (accounted) mode."""
-
-    @abc.abstractmethod
-    def warm_step(self, record: TraceRecord) -> None:
-        """Consume one record functionally: train structures, account nothing."""
-
-    @abc.abstractmethod
-    def finish(self) -> SimulationResult:
-        """Seal the run and return its result."""
-
-    @abc.abstractmethod
-    def state_dict(self) -> dict:
-        """Versioned, JSON-serializable snapshot of all mutable state."""
-
-    @abc.abstractmethod
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
-
-    def begin_interval(self, address: int) -> None:
-        """Hook called at sampled-interval boundaries (default no-op)."""
-
-    def run(self, records: Iterable[TraceRecord]) -> SimulationResult:
-        """Drive a full detailed run over ``records`` and finish."""
-        for record in records:
-            self.step(record)
-        return self.finish()
-
-    def warm_run(self, records: Iterable[TraceRecord]) -> None:
-        """Functionally warm over ``records`` (loop over :meth:`warm_step`)."""
-        for record in records:
-            self.warm_step(record)
-
-    def model_fingerprint(self) -> str:
-        """Stable identity of this architecture + configuration.
-
-        Folds the implementation name and state-schema version in with the
-        configuration and timing so no two registry entries — and no two
-        schema generations of the same entry — can collide in the result
-        cache or accept each other's checkpoints.
-        """
-        payload = repr((type(self).__name__, self.name, self.STATE_VERSION,
-                        self.config, self.timing))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def audit_problems(self) -> list[str]:
-        """Invariant violations observable in the current state (default none)."""
-        return []
-
-    def verify_run(self, records: Sequence[TraceRecord]) -> list[str]:
-        """Run ``records`` audited; return problem strings instead of raising."""
-        from repro.audit.auditor import AuditViolation
-
-        try:
-            self.run(records)
-        except AuditViolation as violation:
-            return [f"{violation.check}: {problem}"
-                    for problem in violation.problems]
-        return self.audit_problems()
 
 
 class SetAssociativeTable:

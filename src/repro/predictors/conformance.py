@@ -8,8 +8,8 @@ function returning a list of problem strings (empty = conforming) — and
 :func:`conformance_problems` runs the whole battery for one registry name.
 
 The battery is *behavioral*, driven purely through the public
-:class:`~repro.predictors.base.Predictor` interface, so it applies
-unchanged to the paper adapter and to any future registry entry.  It is
+:class:`~repro.engine.predictor.Predictor` interface, so it applies
+unchanged to the paper stack and to any future registry entry.  It is
 consumed twice: ``tests/predictors/test_conformance.py`` parametrizes it
 over every registry entry, and ``repro verify --predictor`` runs it as
 part of the zoo gate.
@@ -119,12 +119,12 @@ def check_warm_parity(
     config: PredictorConfig, timing: TimingParams,
 ) -> list[str]:
     """``warm_run`` must equal a plain ``warm_step`` loop, state for state."""
-    batched = create_predictor(name, config=config, timing=timing)
+    bulk = create_predictor(name, config=config, timing=timing)
     stepped = create_predictor(name, config=config, timing=timing)
-    batched.warm_run(list(trace))
+    bulk.warm_run(list(trace))
     for record in trace:
         stepped.warm_step(record)
-    if batched.state_dict() != stepped.state_dict():
+    if bulk.state_dict() != stepped.state_dict():
         return ["warm_run state differs from an equivalent warm_step loop"]
     return []
 

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.engine.params import DEFAULT_TIMING, TimingParams
-from repro.predictors.base import Predictor
+from repro.engine.predictor import Predictor
+from repro.engine.simulator import Simulator
 from repro.predictors.bullseye import BullseyePredictor
 from repro.predictors.ldbp import LdbpPredictor
-from repro.predictors.paper import PaperPredictor
 from repro.predictors.tage import TagePredictor
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -83,6 +83,14 @@ def create_predictor(
         engine_mode=engine_mode)
 
 
+def _paper_factory(config, timing, *, audit=False, telemetry=None,
+                   engine_mode="object") -> Simulator:
+    from repro.audit.auditor import Auditor
+
+    return Simulator(config, timing, audit=Auditor() if audit else None,
+                     telemetry=telemetry, engine_mode=engine_mode)
+
+
 def _zoo_factory(cls: type) -> Callable[..., Predictor]:
     def factory(config, timing, *, audit=False, telemetry=None,
                 engine_mode="object"):
@@ -95,7 +103,7 @@ def _zoo_factory(cls: type) -> Callable[..., Predictor]:
 register_predictor(
     "paper",
     "two-level bulk-preload stack (BTB1/BTBP/BTB2, the reproduced design)",
-    PaperPredictor,
+    _paper_factory,
 )
 register_predictor(
     "tage",

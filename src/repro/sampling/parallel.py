@@ -5,7 +5,7 @@ them concurrently, stitching per-slice counter deltas back together with
 the same ratio-of-sums estimator the sampled runner uses.  Two modes:
 
 * **exact** (no sampling plan): the trace is cut into K contiguous
-  slices.  A checkpoint-producer pass steps the detailed model once and
+  slices.  A checkpoint-producer pass feeds the detailed model once and
   snapshots :meth:`~repro.engine.simulator.Simulator.state_dict` at each
   slice boundary; every worker then resumes from the exact state the
   serial run would have reached there, so each per-slice counter delta is
@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,9 +66,9 @@ from repro.telemetry.tracer import Tracer as _Tracer
 from repro.trace.reader import open_trace
 from repro.workloads.catalog import WorkloadSpec, default_scale
 
-#: Records between worker heartbeat lines on the status board (a power of
-#: two so the in-loop check is one mask + test when a board is attached).
-_BEAT_MASK = 8191
+#: Records per detailed block an exact slice feeds; a worker heartbeats
+#: on the status board after each full block.
+_BEAT_RECORDS = 8192
 
 #: Count-shaped histogram bounds for per-slice record volumes.
 _RECORD_BUCKETS = (100.0, 1_000.0, 10_000.0, 100_000.0,
@@ -348,7 +349,7 @@ def _run_slice(task: _SliceTask) -> SliceOutcome:
     Module-level so it pickles under every backend.  Opens its own trace
     (streaming where possible — a worker decodes only the records it
     touches), resumes from checkpoint/inline state or functionally warms,
-    then either steps its slice in detail (exact mode) or runs its chunk
+    then either feeds its slice in detail (exact mode) or runs its chunk
     of the sampling plan through the shared interval core (sampled mode).
 
     With a relay attached (``task.relay_dir``) the worker streams its
@@ -435,12 +436,16 @@ def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
             board.beat(label, "measuring", done=0, total=span)
         before = sim.counters.state_dict()
         cycle_before = sim._cycle
-        stepped = 0
-        for record in cursor.window(task.slice.start, task.slice.stop):
-            sim.step(record)
-            stepped += 1
-            if board is not None and (stepped & _BEAT_MASK) == 0:
-                board.beat(label, "measuring", done=stepped, total=span)
+        fed = 0
+        window = cursor.window(task.slice.start, task.slice.stop)
+        while True:
+            block = list(islice(window, _BEAT_RECORDS))
+            if not block:
+                break
+            sim.feed(block)
+            fed += len(block)
+            if board is not None and len(block) == _BEAT_RECORDS:
+                board.beat(label, "measuring", done=fed, total=span)
         delta = _diff_counters(before, sim.counters.state_dict())
         delta["cycles"] = sim._cycle - cycle_before
         if telemetry is not None:
@@ -454,7 +459,7 @@ def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
             from_checkpoint=exact,
             delta=delta,
             final=final,
-            detailed_records=stepped,
+            detailed_records=fed,
             checkpoints_loaded=1 if (exact and task.slice.start > 0) else 0,
             seconds=time.process_time() - started,
         )
@@ -483,7 +488,7 @@ class ParallelResult:
     cpi_ci: float
     bad_outcome_fraction: float
     bad_outcome_ci: float
-    #: Records the checkpoint producer stepped in detail this run (0 when
+    #: Records the checkpoint producer fed in detail this run (0 when
     #: every boundary state came from the store — the warm-rerun case).
     produced_records: int
     #: Slices that had to fall back to functional warming (exact mode:
@@ -531,26 +536,24 @@ class ParallelResult:
 def _produce_checkpoints(
     trace,
     slices: list[IntervalSlice],
-    config: PredictorConfig,
-    timing: TimingParams,
+    sim: Simulator,
     store: CheckpointStore | None,
     trace_key: str | None,
     telemetry: "Telemetry | None",
 ) -> tuple[dict[int, dict], int, int]:
     """Ensure an exact state exists for every interior slice boundary.
 
-    One detailed pass from record 0, snapshotting at each boundary —
-    except that boundaries whose state already sits in ``store`` are
-    *loaded* and skipped over (a seek, not a scan), so a warmed store
-    makes this pass free.  States for a store-less run are returned
-    inline, keyed by boundary record.
+    One detailed pass of the fresh ``sim`` from record 0, snapshotting at
+    each boundary — except that boundaries whose state already sits in
+    ``store`` are *loaded* and skipped over (a seek, not a scan), so a
+    warmed store makes this pass free.  States for a store-less run are
+    returned inline, keyed by boundary record.
 
     Returns ``(inline_states, produced_records, saved)``.
     """
     boundaries = [s.start for s in slices[1:]]
     if not boundaries:
         return {}, 0, 0
-    sim = Simulator(config=config, timing=timing)
     model = sim.model_fingerprint()
     use_store = store is not None and trace_key is not None
     cursor = _TraceCursor(trace)
@@ -568,9 +571,8 @@ def _produce_checkpoints(
                 continue
             except ValueError:
                 state = None  # foreign/stale: recompute from position
-        for record in cursor.window(cursor.position, boundary):
-            sim.step(record)
-            produced += 1
+        produced += boundary - cursor.position
+        sim.feed(cursor.window(cursor.position, boundary))
         snapshot = sim.state_dict()
         if use_store:
             store.save(model, trace_key, _EXACT_KEY, boundary, snapshot)
@@ -699,8 +701,10 @@ def run_parallel(
                 board.beat(label, "warming", done=0, total=total)
             produce_started = time.perf_counter()
             inline_states, produced, produced_saved = _produce_checkpoints(
-                trace, slices, config, timing, checkpoint_store, trace_key,
-                telemetry,
+                trace, slices,
+                Simulator(config=config, timing=timing,
+                          engine_mode=engine_mode),
+                checkpoint_store, trace_key, telemetry,
             )
             produce_seconds = time.perf_counter() - produce_started
             tasks = [

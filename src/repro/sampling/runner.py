@@ -324,21 +324,16 @@ def _execute_intervals(
             telemetry.on_interval(sim._cycle, interval.index,
                                   interval.warm_start, "warmup")
         warmup_len = interval.start - interval.warm_start
-        before: dict | None = None
-        cycle_before = 0.0
-        for offset, record in enumerate(
-            cursor.window(interval.warm_start, interval.stop)
-        ):
-            if offset == 0:
-                sim.begin_interval(record.address)
-            if offset == warmup_len:
-                before = sim.counters.state_dict()
-                cycle_before = sim._cycle
-                if telemetry is not None:
-                    telemetry.on_interval(sim._cycle, interval.index,
-                                          interval.start, "measure")
-            sim.step(record)
-            detailed_records += 1
+        window = list(cursor.window(interval.warm_start, interval.stop))
+        sim.begin_interval(window[0].address)
+        sim.feed(window[:warmup_len])
+        before = sim.counters.state_dict()
+        cycle_before = sim._cycle
+        if telemetry is not None:
+            telemetry.on_interval(sim._cycle, interval.index,
+                                  interval.start, "measure")
+        sim.feed(window[warmup_len:])
+        detailed_records += len(window)
         delta = _diff_counters(before, sim.counters.state_dict())
         delta["cycles"] = sim._cycle - cycle_before
         measurements.append(
@@ -378,9 +373,10 @@ def run_sampled(
     fast-forward — on reruns.  Records after the last measured interval are
     never touched: they cannot affect any measurement.
 
-    ``engine_mode`` selects the engine for the functional fast-forward
-    (``warm_run``); measured intervals always step per record, so the
-    estimates are bit-identical across modes.
+    ``engine_mode`` selects the engine for the detailed warmup and
+    measured windows (:meth:`~repro.engine.simulator.Simulator.feed`);
+    warming always runs the object engine's ``warm_run``.  The engines are
+    bit-identical, so the estimates are too.
     """
     if plan is None:
         plan = SamplingPlan()

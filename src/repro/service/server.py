@@ -54,7 +54,7 @@ from repro.service.protocol import (
 )
 from repro.service.session import SessionManager
 from repro.telemetry.metrics import MetricsRegistry
-from repro.trace.reader import TraceFormatError, TraceStreamDecoder
+from repro.trace.reader import TraceStreamDecoder
 
 #: Reasons a client connection can die mid-request without it being a
 #: server bug: TCP resets, pipes closing, and asyncio's torn-read errors.
@@ -502,11 +502,20 @@ class ServiceServer:
 
     @staticmethod
     def _decode(decoder, data: bytes) -> list:
-        """Feed ingest bytes through either decoder; typed errors out."""
+        """Feed ingest bytes through either decoder; typed errors out.
+
+        NDJSON records are validated as they parse; packed records are
+        validated here, so both encodings refuse the same records before
+        any of them is queued.
+        """
         try:
-            return decoder.feed(data)
-        except TraceFormatError as problem:
+            records = decoder.feed(data)
+            if isinstance(decoder, TraceStreamDecoder):
+                for record in records:
+                    record.validate()
+        except ValueError as problem:
             raise ServiceError.bad_request(str(problem)) from None
+        return records
 
     # -- metrics -----------------------------------------------------------
 

@@ -12,7 +12,7 @@ chunks mutate live in-memory simulators), ``serial``, or ``process``
 advanced state, exactly the checkpoint lineage PR 4 proved exact).
 
 Parity contract: a session advances its simulator with the same
-per-record ``step`` / batched ``feed`` paths the batch harness uses, and
+:meth:`~repro.engine.simulator.Simulator.feed` the batch harness uses, and
 suspend/resume round-trips state through
 :class:`~repro.sampling.CheckpointStore` gzip-JSON snapshots — so the
 counters a closed session reports are bit-identical to
@@ -103,13 +103,12 @@ class _ChunkOutcome:
 
 
 def _advance_chunk(task: _ChunkTask) -> _ChunkOutcome:
-    """Worker body: step one session's chunk; module-level so it pickles.
+    """Worker body: feed one session's chunk; module-level so it pickles.
 
-    Uses the object engine's per-record ``step`` or the batched engine's
-    chunked ``feed`` according to the session's engine mode — both proven
-    bit-identical to a whole-trace run.  Never raises: a failure comes
-    back as ``error`` so one poisoned session cannot take down a batch
-    of healthy ones.
+    ``Simulator.feed`` picks the engine from the session's engine mode;
+    either engine is bit-identical to a whole-trace run.  Never raises: a
+    failure comes back as ``error`` so one poisoned session cannot take
+    down a batch of healthy ones.
     """
     started = time.perf_counter()
     try:
@@ -121,14 +120,7 @@ def _advance_chunk(task: _ChunkTask) -> _ChunkOutcome:
         counters = sim.counters
         before = (counters.instructions, counters.branches,
                   counters.bad_outcomes, sim._cycle)
-        if sim.resolved_engine_mode() == "batched":
-            from repro.engine.batched import BatchedSimulator
-
-            BatchedSimulator(sim).feed(task.records)
-        else:
-            step = sim.step
-            for record in task.records:
-                step(record)
+        sim.feed(task.records)
         return _ChunkOutcome(
             session_id=task.session_id,
             records=len(task.records),

@@ -10,8 +10,8 @@ the object engine.  This suite enforces that three ways:
   branches, perceived-miss reports, context switches landing on a branch,
   and transfer-engine activity from demand i-cache misses.
 * **Whole-run parity** — detailed and warm runs over real catalog traces
-  under all three Table 3 configurations.
-* **Metamorphic golden check** — ``engine_mode="batched"`` must leave the
+  under all three Table 3 configurations, whole or fed in pieces.
+* **Metamorphic golden check** — ``engine_mode="auto"`` must leave the
   committed golden baselines bit-identical (the gate the CI smoke runs).
 """
 
@@ -28,7 +28,6 @@ from repro.engine.batched import (
     CHUNK_RECORDS,
     ENGINE_MODES,
     BatchedSimulator,
-    resolve_engine_mode,
     validate_engine_mode,
 )
 from repro.engine.simulator import Simulator
@@ -129,9 +128,22 @@ class TestWholeRunParity:
         trace = workload_by_name("CB84").trace(scale=0.02)
         reference = Simulator(config=config)
         reference.run(trace)
-        batched = Simulator(config=config, engine_mode="batched")
+        batched = Simulator(config=config, engine_mode="auto")
         batched.run(trace)
         assert reference.state_dict() == batched.state_dict()
+
+    def test_feeds_split_anywhere_match_one_run(self):
+        # Callers split detailed records across feeds (measure points,
+        # heartbeat blocks, service chunks); each split must be invisible.
+        trace = list(workload_by_name("CB84").trace(scale=0.02))
+        reference = Simulator(config=ZEC12_CONFIG_2)
+        reference.run(trace)
+        cuts = [0, 1, 777, CHUNK_RECORDS + 5, len(trace) // 2, len(trace)]
+        pieces = Simulator(config=ZEC12_CONFIG_2, engine_mode="auto")
+        for start, stop in zip(cuts, cuts[1:]):
+            pieces.feed(iter(trace[start:stop]))
+        pieces.finish()
+        assert reference.state_dict() == pieces.state_dict()
 
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=[c.name for c in CONFIGS])
@@ -139,7 +151,7 @@ class TestWholeRunParity:
         trace = workload_by_name("CB84").trace(scale=0.02)
         reference = Simulator(config=config)
         reference.warm_run(trace)
-        batched = Simulator(config=config, engine_mode="batched")
+        batched = Simulator(config=config, engine_mode="auto")
         batched.warm_run(trace)
         assert reference.state_dict() == batched.state_dict()
 
@@ -148,34 +160,44 @@ class TestWholeRunParity:
         plan = SamplingPlan(warmup=2_000, interval=2_000, period=20_000)
         reference = run_sampled(trace, config=ZEC12_CONFIG_2, plan=plan)
         batched = run_sampled(trace, config=ZEC12_CONFIG_2, plan=plan,
-                              engine_mode="batched")
+                              engine_mode="auto")
         assert reference.result == batched.result
 
 
 class TestEngineModeSemantics:
     def test_modes_are_validated(self):
-        with pytest.raises(ValueError, match="unknown engine_mode"):
-            Simulator(engine_mode="vectorized")
+        assert ENGINE_MODES == ("object", "auto")
+        for unknown in ("vectorized", "batched"):
+            with pytest.raises(ValueError, match="unknown engine_mode"):
+                Simulator(engine_mode=unknown)
         for mode in ENGINE_MODES:
             assert validate_engine_mode(mode) == mode
 
-    def test_auto_resolves_by_observation(self):
-        assert resolve_engine_mode("auto", observed=False) == "batched"
-        assert resolve_engine_mode("auto", observed=True) == "object"
-        assert Simulator(engine_mode="auto").resolved_engine_mode() \
-            == "batched"
-        observed = Simulator(engine_mode="auto",
-                             telemetry=Telemetry(tracer=Tracer()))
-        assert observed.resolved_engine_mode() == "object"
+    def test_auto_resolves_by_observation(self, monkeypatch):
+        # Simulator.feed is the one dispatch: the batched core runs under
+        # ``auto`` exactly when no per-record observer is attached.
+        fed = []
+        monkeypatch.setattr(BatchedSimulator, "feed",
+                            lambda self, records: fed.append(len(records)))
+        trace = straightline(BASE, 10)
+        Simulator(engine_mode="auto").feed(trace)
+        assert fed == [10]
+        Simulator(engine_mode="object").feed(trace)
+        Simulator(engine_mode="auto",
+                  telemetry=Telemetry(tracer=Tracer())).feed(trace)
+        probed = Simulator(engine_mode="auto")
+        probed.probe = object()  # straight-line code never calls it
+        probed.feed(trace)
+        assert fed == [10]
 
     def test_batched_run_with_observer_falls_back_identically(self):
-        # An explicit batched request with telemetry attached must not
-        # lose events: the run degrades to per-record stepping.
+        # An ``auto`` run with telemetry attached must not lose events:
+        # the run degrades to per-record stepping.
         trace = loop_trace(200, body=6)
         plain = Simulator(config=ZEC12_CONFIG_2,
                           telemetry=Telemetry(tracer=Tracer()))
         plain.run(trace)
-        batched = Simulator(config=ZEC12_CONFIG_2, engine_mode="batched",
+        batched = Simulator(config=ZEC12_CONFIG_2, engine_mode="auto",
                             telemetry=Telemetry(tracer=Tracer()))
         batched.run(trace)
         assert plain.state_dict() == batched.state_dict()
@@ -184,7 +206,7 @@ class TestEngineModeSemantics:
 
 
 class TestGoldenMetamorphic:
-    """``engine_mode="batched"`` must leave golden baselines bit-identical."""
+    """``engine_mode="auto"`` must leave golden baselines bit-identical."""
 
     def _gate(self, workloads):
         from repro.oracle.golden import (
@@ -195,7 +217,7 @@ class TestGoldenMetamorphic:
 
         baseline = load_baseline(GOLDEN_PATH)
         problems = compare_baseline(baseline, workloads=workloads,
-                                    engine_mode="batched")
+                                    engine_mode="auto")
         assert problems == []
 
     def test_batched_engine_passes_golden_smoke(self):

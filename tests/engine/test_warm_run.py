@@ -9,7 +9,7 @@ path-history folds against their reference implementation.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.btb.btb2 import BTB2
@@ -23,6 +23,7 @@ from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.engine.simulator import Simulator
 from repro.isa.address import ROW_BYTES
 from repro.isa.opcodes import BranchKind
+from repro.trace.record import TraceRecord
 from repro.workloads.catalog import workload_by_name
 from repro.workloads.generator import WalkProfile, generate_trace
 from repro.workloads.program import ProgramShape, build_program
@@ -78,17 +79,17 @@ def test_warm_resume_from_state_dict_is_engine_agnostic():
     resumed_object.load_state_dict(snapshot)
     resumed_object.warm_run(iter(trace[split:]))
 
-    resumed_batched = Simulator(config=ZEC12_CONFIG_2, engine_mode="batched")
-    resumed_batched.load_state_dict(snapshot)
-    resumed_batched.warm_run(iter(trace[split:]))
+    resumed_auto = Simulator(config=ZEC12_CONFIG_2, engine_mode="auto")
+    resumed_auto.load_state_dict(snapshot)
+    resumed_auto.warm_run(iter(trace[split:]))
 
-    assert resumed_object.state_dict() == resumed_batched.state_dict()
+    assert resumed_object.state_dict() == resumed_auto.state_dict()
 
 
 def test_detailed_resume_from_state_dict_matches_serial_across_engines():
-    """Detailed stepping after a restore is engine-independent too: the
-    parallel workers' measured slices are bit-identical whichever engine
-    constructed the simulator."""
+    """Detailed feeding after a restore is engine-independent too: the
+    parallel workers' measured slices, fed from a restored boundary
+    state, are bit-identical whichever engine consumes them."""
     trace = workload_by_name("TPF").trace(scale=0.05)
     split = len(trace) // 2
 
@@ -100,11 +101,10 @@ def test_detailed_resume_from_state_dict_matches_serial_across_engines():
         producer.step(record)
     snapshot = producer.state_dict()
 
-    for engine_mode in ("object", "batched"):
+    for engine_mode in ("object", "auto"):
         resumed = Simulator(config=ZEC12_CONFIG_2, engine_mode=engine_mode)
         resumed.load_state_dict(snapshot)
-        for record in trace[split:]:
-            resumed.step(record)
+        resumed.feed(trace[split:])
         result = resumed.finish()
         assert result.counters.state_dict() == \
             reference.counters.state_dict(), engine_mode
@@ -130,14 +130,41 @@ def workloads(draw):
     return generate_trace(build_program(shape), 400, profile)
 
 
+#: A taken branch without a target mid-trace: ``warm_step`` refuses it
+#: (``TraceRecord.next_address`` raises), so ``warm_run`` must too, rather
+#: than read the next record as a context switch.
+MALFORMED_TRACE = [
+    TraceRecord(address=0x1000, length=4),
+    TraceRecord(address=0x1004, length=4, kind=BranchKind.COND, taken=True,
+                target=0x1000),
+    TraceRecord(address=0x1000, length=4),
+    TraceRecord(address=0x1004, length=4, kind=BranchKind.COND, taken=True),
+    TraceRecord(address=0x2000, length=4),
+]
+
+
+def _warm_error(warm, records) -> str | None:
+    """The ``ValueError`` message ``warm(records)`` raised, else ``None``."""
+    try:
+        warm(records)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
 @settings(max_examples=15, deadline=None)
 @given(workloads())
+@example(MALFORMED_TRACE)
 def test_warm_run_equals_warm_step_property(trace):
     bulk = Simulator(config=small_config())
     stepped = Simulator(config=small_config())
-    bulk.warm_run(iter(trace))
-    for record in trace:
-        stepped.warm_step(record)
+
+    def step_all(records):
+        for record in records:
+            stepped.warm_step(record)
+
+    assert (_warm_error(bulk.warm_run, iter(trace))
+            == _warm_error(step_all, trace))
     assert bulk.state_dict() == stepped.state_dict()
 
 

@@ -2,8 +2,9 @@
 
 Two load-bearing compatibility properties live here:
 
-* the paper adapter is *bit-identical* to driving the simulator directly
-  (so ``predictor="paper"`` results equal every historical result), and
+* ``predictor="paper"`` *is* the simulator, with its historical model
+  fingerprint (so its results and checkpoints equal every historical
+  one), and
 * fingerprints are append-only — ``predictor="paper"`` produces the
   historical cache key, any other registry entry a distinct one.
 """
@@ -71,24 +72,32 @@ class TestModelFingerprints:
                 != create_predictor("tage",
                                     config=small).model_fingerprint())
 
-    def test_paper_adapter_keeps_the_historical_fingerprint(self):
-        # Cache compatibility: predictor="paper" must hit the same result
-        # slots every pre-zoo run ever wrote.
-        adapter = create_predictor("paper")
-        simulator = Simulator(ZEC12_CONFIG_2, DEFAULT_TIMING)
-        assert adapter.model_fingerprint() == simulator.model_fingerprint()
+    def test_paper_keeps_the_historical_fingerprint(self):
+        # Cache and checkpoint compatibility: predictor="paper" must hit
+        # the same result slots and load the same snapshots every pre-zoo
+        # run ever wrote, so the digest is pinned, not recomputed.
+        paper = create_predictor("paper")
+        assert paper.model_fingerprint() == "dbe5707c96d4534e"
+        assert (Simulator(ZEC12_CONFIG_2, DEFAULT_TIMING).model_fingerprint()
+                == "dbe5707c96d4534e")
 
 
-class TestPaperAdapterBitIdentity:
-    def test_adapter_run_matches_the_simulator(self):
+class TestPaperStack:
+    def test_create_predictor_returns_the_simulator(self):
+        # No adapter: the factory only translates its flags, and a run
+        # through it is bit-identical to a directly built simulator.
+        paper = create_predictor("paper", engine_mode="auto")
+        assert type(paper) is Simulator
+        assert paper.engine_mode == "auto"
+        assert paper.audit is None
+        assert create_predictor("paper", audit=True).audit is not None
         trace = build_trace(9, 400)
-        adapter = create_predictor("paper")
         simulator = Simulator(ZEC12_CONFIG_2, DEFAULT_TIMING)
-        adapted = adapter.run(list(trace))
+        created = paper.run(list(trace))
         direct = simulator.run(list(trace))
-        assert adapted.counters.state_dict() == direct.counters.state_dict()
-        assert adapter.state_dict() == simulator.state_dict()
-        assert adapted.cpi == direct.cpi
+        assert created.counters.state_dict() == direct.counters.state_dict()
+        assert paper.state_dict() == simulator.state_dict()
+        assert created.cpi == direct.cpi
 
 
 class TestRunFingerprints:

@@ -14,14 +14,21 @@ import pytest
 
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.simulator import simulate
+from repro.isa.opcodes import BranchKind
 from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceLimits,
     ServiceServer,
 )
-from repro.service.protocol import CONTENT_TYPE_BINARY, encode_records
+from repro.service.protocol import (
+    CONTENT_TYPE_BINARY,
+    CONTENT_TYPE_NDJSON,
+    encode_records,
+    encode_records_ndjson,
+)
 from repro.telemetry.metrics import parse_prometheus
+from repro.trace.record import TraceRecord
 from repro.workloads.catalog import workload_by_name
 
 LIMITS = ServiceLimits(chunk_records=512, sweep_interval=0.05)
@@ -306,15 +313,31 @@ class TestEdgeCases:
             client._request("POST", "/sessions", body=b"[1,2]")
         assert excinfo.value.code == "bad_request"
 
-    def test_malformed_ndjson_record_is_typed_400(self, daemon):
+    @pytest.mark.parametrize(
+        "content_type, encode",
+        [(CONTENT_TYPE_NDJSON, encode_records_ndjson),
+         (CONTENT_TYPE_BINARY, encode_records)],
+        ids=["ndjson", "binary"])
+    def test_malformed_record_is_typed_400(self, daemon, content_type,
+                                           encode):
+        # Both encodings refuse what TraceRecord.validate refuses, before
+        # any record of the body reaches the queue.
         client = daemon.client
         sid = client.create_session()["id"]
-        with pytest.raises(ServiceError) as excinfo:
-            client._request(
-                "POST", f"/sessions/{sid}/records",
-                body=b'{"address": 1, "length": 9}\n',
-                content_type="application/x-ndjson")
-        assert excinfo.value.code == "bad_request"
+        good = TraceRecord(address=0x1000, length=4)
+        malformed = (
+            TraceRecord(address=0x1004, length=3),
+            TraceRecord(address=0x1004, length=4, kind=BranchKind.COND,
+                        taken=True),
+        )
+        for bad in malformed:
+            with pytest.raises(ServiceError) as excinfo:
+                client._request(
+                    "POST", f"/sessions/{sid}/records",
+                    body=encode([good, bad]), content_type=content_type)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_request"
+        assert client.session(sid)["ingested_records"] == 0
         assert client.health()["ok"]
 
 

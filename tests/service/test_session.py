@@ -60,7 +60,7 @@ class TestParity:
 
         async def body(manager):
             return await _feed_and_close(manager, records,
-                                         engine_mode="batched")
+                                         engine_mode="auto")
 
         result = _run(body)
         assert result["counters"] == _expected(records)
@@ -221,9 +221,10 @@ class TestLifecycleErrors:
             with pytest.raises(ServiceError) as excinfo:
                 manager.create(config_key="9")
             assert excinfo.value.code == "bad_request"
-            with pytest.raises(ServiceError) as excinfo:
-                manager.create(engine_mode="warp")
-            assert excinfo.value.code == "bad_request"
+            for unknown in ("warp", "batched"):
+                with pytest.raises(ServiceError) as excinfo:
+                    manager.create(engine_mode=unknown)
+                assert excinfo.value.code == "bad_request"
 
         _run(body)
 

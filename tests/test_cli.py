@@ -278,10 +278,10 @@ class TestVerifyEndToEnd:
         assert "mutation drill: caught" in out
         assert out.count("differential: no divergence") == 3
         # The golden gate re-measures with both engines by default, making
-        # it a bit-identity check of batched against object.
+        # it a bit-identity check of the batched core against object.
         assert ("golden baseline[object]: 13 workload(s) within tolerance"
                 in out)
-        assert ("golden baseline[batched]: 13 workload(s) within tolerance"
+        assert ("golden baseline[auto]: 13 workload(s) within tolerance"
                 in out)
         # The parallel gate demands bit-identity between serial and the
         # stitched checkpoint-parallel run on every workload.
@@ -339,10 +339,12 @@ class TestPredictorCli:
         assert "paper stack only" in capsys.readouterr().err
 
     def test_simulate_zoo_refuses_alternate_engines(self, capsys):
-        code = main(["simulate", "TPF", "--predictor", "tage",
-                     "--engine", "batched", "--scale", "0.02"])
-        assert code == 2
-        assert "single engine" in capsys.readouterr().err
+        # ``batched`` is no longer a mode: ``auto`` runs the batched core.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "TPF", "--predictor", "tage",
+                  "--engine", "batched", "--scale", "0.02"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
 
     def test_simulate_unknown_predictor_raises(self):
         with pytest.raises(ValueError, match="registered"):
