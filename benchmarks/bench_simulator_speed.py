@@ -9,7 +9,11 @@ The ``test_speed_pool_*`` pair then measures the experiment harness
 end-to-end: the same cold-cache batch of runs executed serially
 (``jobs=1``) and through the process pool (``jobs=`` CPU count).  On a
 multicore host the parallel batch finishes in roughly ``1/cores`` of the
-serial wall time; the README's Performance section quotes these numbers.
+serial wall time.
+
+These are pytest-benchmark regression guards, not the record of engine
+throughput: that number is owned by ``bench_engine_core.py``, which
+writes ``BENCH_engine_core.json``, and the docs quote only that file.
 """
 
 import os

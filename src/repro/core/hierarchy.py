@@ -30,6 +30,7 @@ from repro.btb.pht import PHT
 from repro.btb.surprise import SurpriseBHT
 from repro.core.config import ExclusivityMode, PredictorConfig
 from repro.core.events import PredictionLevel
+from repro.isa.address import ROW_BYTES
 from repro.isa.opcodes import BranchKind
 from repro.trace.record import TraceRecord
 
@@ -98,9 +99,38 @@ class FirstLevelPredictor:
         return [found[key] for key in sorted(found)]
 
     def first_hit_in_row(self, address: int) -> RowHit | None:
-        """The first (lowest-address) hit at or after ``address`` in its row."""
-        hits = self.hits_in_row(address)
-        return hits[0] if hits else None
+        """The first (lowest-address) hit at or after ``address`` in its row.
+
+        Equal to ``(self.hits_in_row(address) or [None])[0]`` without
+        building that list: one scan of the row's BTBP and BTB1 way lists,
+        tag-matched to the 32-byte row.  ``<=`` keeps the later of two
+        equal addresses and the BTB1 is scanned second, so its copy wins a
+        tie, as in :meth:`hits_in_row`.
+        """
+        row_end = (address | (ROW_BYTES - 1)) + 1
+        best = None
+        best_address = row_end
+        best_ways: list[BTBEntry] = []
+        level = PredictionLevel.BTBP
+        if self.btbp is not None:
+            ways = self.btbp._rows[(address >> 5) % self.btbp.rows]
+            for entry in ways:
+                if address <= entry.address <= best_address \
+                        and entry.address < row_end:
+                    best = entry
+                    best_address = entry.address
+                    best_ways = ways
+        ways = self.btb1._rows[(address >> 5) % self.btb1.rows]
+        for entry in ways:
+            if address <= entry.address <= best_address \
+                    and entry.address < row_end:
+                best = entry
+                best_address = entry.address
+                best_ways = ways
+                level = PredictionLevel.BTB1
+        if best is None:
+            return None
+        return RowHit(best, level, best_ways[0] is best)
 
     def resolve_content(self, entry: BTBEntry) -> Resolution:
         """Direction/target decision for a found branch.

@@ -201,7 +201,7 @@ class LookaheadSearch:
         """
         reports: list[MissReport] = []
         while self.cycle + SEQUENTIAL_CYCLES_PER_ROW <= until_cycle:
-            if self.hierarchy.hits_in_row(self.search_address):
+            if self.hierarchy.first_hit_in_row(self.search_address) is not None:
                 break
             self.searches += 1
             self.empty_searches += 1

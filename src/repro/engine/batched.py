@@ -72,6 +72,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.core.events import OutcomeKind, PredictionLevel
 from repro.core.hierarchy import RowHit
 from repro.core.search import BROADCAST_LATENCY, SEQUENTIAL_CYCLES_PER_ROW
+from repro.preload.ordering import SECTOR_SHIFT
 from repro.trace.record import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,10 +92,6 @@ ENGINE_MODES = ("object", "auto")
 #: Records per struct-of-arrays chunk.  Large enough to amortize the
 #: prescan, small enough that a chunk's columns stay cache-resident.
 CHUNK_RECORDS = 8192
-
-#: 128-byte sector shift (``repro.isa.address.SECTOR_BYTES``): the
-#: granularity of the ordering tracker's ``observe`` dedup.
-_SECTOR_SHIFT = 7
 
 
 def validate_engine_mode(mode: str) -> str:
@@ -229,7 +226,7 @@ class BatchedSimulator:
             addrs, nxts, isbr = _columns(chunk)
             line_shift = sim.timing.icache_line_bytes.bit_length() - 1
             shift = (
-                min(line_shift, _SECTOR_SHIFT)
+                min(line_shift, SECTOR_SHIFT)
                 if sim.config.steering_enabled and sim.preload is not None
                 else line_shift
             )
@@ -270,12 +267,12 @@ class BatchedSimulator:
         """
         sim = self._sim
         timing = sim.timing
-        base = timing.base_decode_cycles
-        extra_taken = timing.taken_branch_decode_cycles - base
+        base = sim._base_decode_cycles
+        extra_taken = sim._extra_taken_cycles
         l2 = timing.l2_instruction_latency
         refill = timing.frontend_refill_cycles
         mispredict_penalty = timing.mispredict_penalty
-        line_mask = ~(timing.icache_line_bytes - 1)
+        line_mask = sim._line_mask
         counters = sim.counters
         outcomes = counters.outcomes
         penalties = counters.penalty_cycles
@@ -308,6 +305,8 @@ class BatchedSimulator:
         p_advance = preload.advance if preload is not None else None
         trans = preload.transfer if preload is not None else None
         steering = preload is not None and sim.config.steering_enabled
+        # Observed at events only: a quiet record lies in the sector of the
+        # record before it, where ``OrderingTracker.observe`` is a no-op.
         tracker_observe = (
             preload.ordering_tracker.observe if steering else None
         )
@@ -344,13 +343,6 @@ class BatchedSimulator:
         # boundary advance (exact: while idle the advance is a monotonic
         # clock max, and advance is prefix-decomposable).
         sync_cycle = -1
-
-        # Sector-dedup anchor for ordering-tracker observes.  Records below
-        # a span's first event share the previous (already observed)
-        # record's sector, so observing only at events — and only on
-        # sector change — is exact; -1 forces a (idempotent) re-observe
-        # at the first event.
-        last_observed = -1
 
         n = len(chunk)
         ne = len(events)
@@ -596,9 +588,7 @@ class BatchedSimulator:
                 history_record(address, taken)
                 seen_add(address)
                 if tracker_observe is not None:
-                    if (address ^ last_observed) >> _SECTOR_SHIFT:
-                        tracker_observe(address)
-                    last_observed = address
+                    tracker_observe(address)
                 pos += 1
                 ei += 1
             else:
@@ -643,9 +633,7 @@ class BatchedSimulator:
                             busy = bool(trans._queue or trans._inflight
                                         or preload._block_waiters)
                 if tracker_observe is not None:
-                    if (address ^ last_observed) >> _SECTOR_SHIFT:
-                        tracker_observe(address)
-                    last_observed = address
+                    tracker_observe(address)
                 pos += 1
                 ei += 1
 

@@ -113,6 +113,13 @@ class Simulator(Predictor):
     ) -> None:
         self.config = config
         self.timing = timing
+        # Per-record timing constants, read once: ``base_decode_cycles`` is
+        # a property that divides on every read.
+        self._base_decode_cycles = timing.base_decode_cycles
+        self._extra_taken_cycles = (
+            timing.taken_branch_decode_cycles - timing.base_decode_cycles
+        )
+        self._line_mask = ~(timing.icache_line_bytes - 1)
         self.engine_mode = validate_engine_mode(engine_mode)
         self.btb2 = (
             BTB2(rows=config.btb2_rows, ways=config.btb2_ways)
@@ -199,10 +206,11 @@ class Simulator(Predictor):
 
     def step(self, record: TraceRecord) -> None:
         """Simulate one trace record."""
+        address = record.address
         if not self._started:
-            self.search.restart(record.address, 0)
+            self.search.restart(address, 0)
             self._started = True
-        elif record.address != self._expected_address:
+        elif address != self._expected_address:
             # Control arrived somewhere the previous record cannot explain:
             # a time-slice switch or interrupt in the trace.  Fetch and the
             # lookahead searcher restart at the new stream, as on hardware;
@@ -212,21 +220,24 @@ class Simulator(Predictor):
             # prefetch fills must not attribute hidden misses to a context
             # that never launched them.
             self.counters.context_switches += 1
-            self.search.restart(record.address, math.ceil(self._cycle))
+            self.search.restart(address, math.ceil(self._cycle))
             self._current_line = -1
             self._line_fills.clear()
             if self.telemetry is not None:
-                self.telemetry.on_context_switch(self._cycle, record.address)
+                self.telemetry.on_context_switch(self._cycle, address)
         self._expected_address = record.next_address
         self.counters.instructions += 1
-        self._cycle += self.timing.base_decode_cycles
-        if self.preload is not None:
-            self.preload.advance(int(self._cycle))
-        self._fetch(record.address)
-        if record.is_branch:
+        self._cycle += self._base_decode_cycles
+        preload = self.preload
+        if preload is not None:
+            preload.advance(int(self._cycle))
+        line = address & self._line_mask
+        if line != self._current_line:
+            self._fetch(address, line)
+        if record.kind is not None:
             self._branch(record)
-        if self.preload is not None:
-            self.preload.observe_completion(record.address)
+        if preload is not None:
+            preload.observe_completion(address)
         if self.audit is not None:
             self.audit.after_step(self, record)
         if self.telemetry is not None:
@@ -256,7 +267,7 @@ class Simulator(Predictor):
             self._current_line = -1
             self._line_fills.clear()
         self._expected_address = record.next_address
-        line = record.address & ~(self.timing.icache_line_bytes - 1)
+        line = record.address & self._line_mask
         if line != self._current_line:
             self._current_line = line
             self.icache.fetch(record.address, int(self._cycle))
@@ -352,7 +363,7 @@ class Simulator(Predictor):
         icache_fetch = self.icache.fetch
         icache_prefetch = self.icache._cache.install
         seen_add = self._seen_branches.add
-        line_mask = ~(self.timing.icache_line_bytes - 1)
+        line_mask = self._line_mask
         btbp_level = PredictionLevel.BTBP
         cycle = int(self._cycle)
         started = self._started
@@ -524,10 +535,8 @@ class Simulator(Predictor):
 
     # -- instruction fetch -------------------------------------------------------
 
-    def _fetch(self, address: int) -> None:
-        line = address & ~(self.timing.icache_line_bytes - 1)
-        if line == self._current_line:
-            return
+    def _fetch(self, address: int, line: int) -> None:
+        """Fetch ``line``, the new i-cache line holding ``address``."""
         self._current_line = line
         hit = self.icache.fetch(address, int(self._cycle))
         fill = self._line_fills.pop(line, None)
@@ -556,7 +565,7 @@ class Simulator(Predictor):
 
     def _prefetch_target(self, target: int, issue_cycle: float) -> None:
         """Model the instruction prefetch a predicted-taken branch launches."""
-        line = target & ~(self.timing.icache_line_bytes - 1)
+        line = target & self._line_mask
         already_present = self.icache.prefetch(target)
         if not already_present:
             fill_complete = issue_cycle + self.timing.l2_instruction_latency
@@ -582,9 +591,8 @@ class Simulator(Predictor):
         self.counters.branches += 1
         if record.taken:
             self.counters.taken_branches += 1
-            extra = self.timing.taken_branch_decode_cycles - self.timing.base_decode_cycles
-            if extra > 0:
-                self._cycle += extra
+            if self._extra_taken_cycles > 0:
+                self._cycle += self._extra_taken_cycles
         outcome = self.search.advance_to_branch(record.address)
         prediction = outcome.prediction
         if prediction is not None and prediction.ready_cycle <= self._cycle:

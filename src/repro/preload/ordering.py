@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.address import (
     QUARTILES_PER_BLOCK,
+    SECTOR_BYTES,
     SECTORS_PER_BLOCK,
     block_address,
     quartile_in_block,
@@ -37,6 +38,9 @@ from repro.isa.address import (
 
 ORDERING_TABLE_ENTRIES = 512
 ORDERING_TABLE_WAYS = 2
+
+#: ``address >> SECTOR_SHIFT`` numbers the 128-byte sector of ``address``.
+SECTOR_SHIFT = SECTOR_BYTES.bit_length() - 1
 
 
 @dataclass
@@ -184,9 +188,22 @@ class OrderingTracker:
         self._demand_quartile = 0
         self._current_quartile = 0
         self._pending: OrderingEntry | None = None
+        # Sector (``address >> SECTOR_SHIFT``) of the last observed address.
+        # Derived from the state above, so not snapshot state; ``None``
+        # whenever that state was replaced (flush, restore).
+        self._last_sector: int | None = None
 
     def observe(self, address: int) -> None:
-        """Fold one completing instruction's address into the tracking state."""
+        """Fold one completing instruction's address into the tracking state.
+
+        An address in the last observed sector changes nothing (same block,
+        same quartile, its sector bit already set), so it returns at once:
+        most completing instructions follow one in the same 128 bytes.
+        """
+        sector = address >> SECTOR_SHIFT
+        if sector == self._last_sector:
+            return
+        self._last_sector = sector
         block = block_address(address)
         quartile = quartile_in_block(address)
         if block != self._block:
@@ -210,6 +227,7 @@ class OrderingTracker:
         """Commit the in-flight block entry (end of simulation)."""
         self._commit()
         self._block = None
+        self._last_sector = None
 
     def state_dict(self) -> dict:
         """Snapshot of the in-flight tracking state (table held separately)."""
@@ -232,6 +250,7 @@ class OrderingTracker:
             if state["pending"] is not None
             else None
         )
+        self._last_sector = None
 
 
 def classify_sectors(

@@ -13,13 +13,14 @@ completion moves every tag-matching BTB2 entry into the BTBP.
 
 Time is advanced lazily: the simulator calls :meth:`advance` with its
 current clock before any structure probe, so transferred entries become
-visible exactly at their completion cycles.
+visible exactly at their completion cycles.  While nothing is queued or in
+flight an advance is a pure clock max, which is most calls: the engine is
+idle for 80% of the once-per-record advances of a DayTrader DBServ run.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.btb.btb2 import BTB2
@@ -36,15 +37,6 @@ SEARCH_PIPELINE_CYCLES = 8
 FULL_BLOCK_TRANSFER_CYCLES = 128 + SEARCH_PIPELINE_CYCLES
 
 
-@dataclass(order=True)
-class _QueuedRead:
-    priority: int
-    sequence: int
-    row_address: int
-    eligible_cycle: int
-    tracker: SearchTracker
-
-
 class TransferEngine:
     """One-row-per-cycle pipelined BTB2 reader with priority arbitration."""
 
@@ -59,7 +51,10 @@ class TransferEngine:
         self.install = install
         self.exclusivity = exclusivity
         self.on_tracker_drained = on_tracker_drained
-        self._queue: list[_QueuedRead] = []
+        # Queued reads: (priority, sequence, row_address, eligible_cycle,
+        # tracker).  ``sequence`` is unique, so heap comparisons never reach
+        # the tracker and pop order is (priority, sequence).
+        self._queue: list[tuple[int, int, int, int, SearchTracker]] = []
         self._sequence = 0
         # In-flight reads: (completion_cycle, sequence, row_address, tracker).
         self._inflight: list[tuple[int, int, int, SearchTracker]] = []
@@ -90,22 +85,18 @@ class TransferEngine:
         Returns the number of rows actually queued.
         """
         queued = 0
+        enqueued_rows = tracker.enqueued_rows
         for step in range(rows):
             row_address = sector_address + step * ROW_BYTES
-            if row_address in tracker.enqueued_rows:
+            if row_address in enqueued_rows:
                 continue
-            tracker.enqueued_rows.add(row_address)
+            enqueued_rows.add(row_address)
             tracker.outstanding_rows += 1
             self._sequence += 1
             heapq.heappush(
                 self._queue,
-                _QueuedRead(
-                    priority=priority,
-                    sequence=self._sequence,
-                    row_address=row_address,
-                    eligible_cycle=eligible_cycle,
-                    tracker=tracker,
-                ),
+                (priority, self._sequence, row_address, eligible_cycle,
+                 tracker),
             )
             queued += 1
         return queued
@@ -115,22 +106,26 @@ class TransferEngine:
     def advance(self, cycle: int) -> None:
         """Issue and complete row reads up to ``cycle`` (monotonic)."""
         self.clock = max(self.clock, cycle)
+        if not self._queue and not self._inflight:
+            return
         self._issue_until(self.clock)
         self._complete_until(self.clock)
 
     def _issue_until(self, cycle: int) -> None:
-        while self._queue:
-            head = self._queue[0]
-            issue = max(self._next_issue_cycle, head.eligible_cycle)
+        queue = self._queue
+        inflight = self._inflight
+        while queue:
+            _, sequence, row_address, eligible_cycle, tracker = queue[0]
+            issue = max(self._next_issue_cycle, eligible_cycle)
             if issue > cycle:
                 break
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
             self._next_issue_cycle = issue + 1
             self.rows_read += 1
-            completion = issue + SEARCH_PIPELINE_CYCLES
             heapq.heappush(
-                self._inflight,
-                (completion, head.sequence, head.row_address, head.tracker),
+                inflight,
+                (issue + SEARCH_PIPELINE_CYCLES, sequence, row_address,
+                 tracker),
             )
 
     def _complete_until(self, cycle: int) -> None:
@@ -181,9 +176,10 @@ class TransferEngine:
         """
         return {
             "queue": [
-                [item.priority, item.sequence, item.row_address,
-                 item.eligible_cycle, slot_of(item.tracker)]
-                for item in self._queue
+                [priority, sequence, row_address, eligible_cycle,
+                 slot_of(tracker)]
+                for priority, sequence, row_address, eligible_cycle, tracker
+                in self._queue
             ],
             "inflight": [
                 [completion, sequence, row_address, slot_of(tracker)]
@@ -204,13 +200,7 @@ class TransferEngine:
         ``tracker_at`` resolves slot indices back to live tracker objects.
         """
         self._queue = [
-            _QueuedRead(
-                priority=priority,
-                sequence=sequence,
-                row_address=row_address,
-                eligible_cycle=eligible_cycle,
-                tracker=tracker_at(slot),
-            )
+            (priority, sequence, row_address, eligible_cycle, tracker_at(slot))
             for priority, sequence, row_address, eligible_cycle, slot
             in state["queue"]
         ]

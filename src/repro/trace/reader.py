@@ -12,6 +12,19 @@ Two access styles are provided:
   ``[start, stop)`` window without touching the rest of the file.  The
   sampled-simulation fast-forward path uses this so warming a trace never
   requires materializing millions of ``TraceRecord`` objects up front.
+
+Every reader decodes through :func:`_decode_records`: one
+``RECORD.iter_unpack`` pass over the bytes read, with a memo that hands
+back one shared ``TraceRecord`` per distinct packed value.  Records are
+immutable and nothing depends on their identity, so sharing them changes
+only time and memory: a trace revisits the same instructions, and few of
+its records are distinct (36,859 of the 510,000 records of DayTrader
+DBServ at scale 0.3).  Each caller bounds the memo's scope to what it
+already holds: :func:`load_trace` keeps one memo for the whole file (the
+list it returns holds every record anyway); streaming readers keep one per
+read chunk of :data:`CHUNK_RECORDS` records (:func:`iter_trace`,
+:meth:`TraceFile.iter_from`) or per :meth:`TraceStreamDecoder.feed` call,
+so neither a long sampled window nor a service session can grow it.
 """
 
 from __future__ import annotations
@@ -30,6 +43,11 @@ from repro.trace.writer import (
     TARGET_VALID_BIT,
     VERSION,
 )
+
+
+#: Records per sequential read of a streaming reader, and so the scope of
+#: its decode memo.
+CHUNK_RECORDS = 4096
 
 
 class TraceFormatError(ValueError):
@@ -69,6 +87,57 @@ def _decode(raw: bytes, version: int) -> TraceRecord:
     )
 
 
+def _decode_records(raw, version: int, memo: dict) -> list[TraceRecord]:
+    """Decode ``raw``, a whole number of packed records, in order.
+
+    ``memo`` maps each packed ``(meta, address, target)`` value already
+    decoded to its record, so equal packed records come back as one
+    object.  A miss re-packs the fields for :func:`_decode`, which stays
+    the one per-record decoder.
+    """
+    records: list[TraceRecord] = []
+    append = records.append
+    get = memo.get
+    pack = RECORD.pack
+    for fields in RECORD.iter_unpack(raw):
+        record = get(fields)
+        if record is None:
+            record = memo[fields] = _decode(pack(*fields), version)
+        append(record)
+    return records
+
+
+def _read_chunks(stream: BinaryIO,
+                 memo: dict | None) -> Iterator[list[TraceRecord]]:
+    """Decode a headed stream in chunks, validating the record count.
+
+    The stream must contain exactly the declared number of records: both a
+    short read and trailing bytes after the last record raise
+    :class:`TraceFormatError`, a short read only after the records before
+    the first missing one were yielded.  ``memo`` is shared by every chunk;
+    ``None`` gives each chunk its own.
+    """
+    count, version = read_header(stream)
+    size = RECORD.size
+    index = 0
+    while index < count:
+        batch = min(CHUNK_RECORDS, count - index)
+        raw = stream.read(batch * size)
+        complete = len(raw) // size
+        chunk_memo = {} if memo is None else memo
+        if complete != batch:
+            yield _decode_records(raw[:complete * size], version, chunk_memo)
+            raise TraceFormatError(
+                f"truncated at record {index + complete}/{count}"
+            )
+        yield _decode_records(raw, version, chunk_memo)
+        index += batch
+    if stream.read(1):
+        raise TraceFormatError(
+            f"trailing bytes after declared record count {count}"
+        )
+
+
 def iter_trace(stream: BinaryIO) -> Iterator[TraceRecord]:
     """Yield records from an open trace stream, validating the count.
 
@@ -76,22 +145,17 @@ def iter_trace(stream: BinaryIO) -> Iterator[TraceRecord]:
     short read and trailing bytes after the last record raise
     :class:`TraceFormatError`.
     """
-    count, version = read_header(stream)
-    for index in range(count):
-        raw = stream.read(RECORD.size)
-        if len(raw) != RECORD.size:
-            raise TraceFormatError(f"truncated at record {index}/{count}")
-        yield _decode(raw, version)
-    if stream.read(1):
-        raise TraceFormatError(
-            f"trailing bytes after declared record count {count}"
-        )
+    for records in _read_chunks(stream, None):
+        yield from records
 
 
 def load_trace(path) -> list[TraceRecord]:
     """Read the entire trace at ``path`` into memory."""
+    records: list[TraceRecord] = []
     with open(path, "rb") as stream:
-        return list(iter_trace(stream))
+        for chunk in _read_chunks(stream, {}):
+            records.extend(chunk)
+    return records
 
 
 class TraceFile:
@@ -172,17 +236,15 @@ class TraceFile:
         stream = self._require_stream()
         stream.seek(HEADER.size + start * RECORD.size)
         remaining = stop - start
-        per_chunk = 4096
         size = RECORD.size
         while remaining:
-            batch = min(per_chunk, remaining)
+            batch = min(CHUNK_RECORDS, remaining)
             raw = stream.read(batch * size)
             if len(raw) != batch * size:
                 raise TraceFormatError(
                     f"truncated at record {stop - remaining}/{self.count}"
                 )
-            for offset in range(0, len(raw), size):
-                yield _decode(raw[offset:offset + size], self.version)
+            yield from _decode_records(raw, self.version, {})
             remaining -= batch
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -229,10 +291,7 @@ class TraceStreamDecoder:
             return []
         view = bytes(self._buffer[:usable])
         del self._buffer[:usable]
-        records = [
-            _decode(view[offset:offset + size], self.version)
-            for offset in range(0, usable, size)
-        ]
+        records = _decode_records(view, self.version, {})
         self.decoded += len(records)
         return records
 

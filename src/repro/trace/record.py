@@ -44,7 +44,7 @@ class TraceRecord:
     @property
     def next_address(self) -> int:
         """Address control flow actually went to after this instruction."""
-        if self.is_branch and self.taken:
+        if self.taken and self.kind is not None:
             if self.target is None:
                 raise ValueError(f"taken branch at {self.address:#x} has no target")
             return self.target

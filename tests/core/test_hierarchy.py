@@ -1,5 +1,8 @@
 """Tests for the first-level hierarchy wiring and move protocol."""
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from repro.btb.btb2 import BTB2
 from repro.btb.btbp import WriteSource
 from repro.btb.entry import BTBEntry, STRONG_NOT_TAKEN
@@ -72,6 +75,60 @@ class TestParallelRead:
         h.btb1.install(BTBEntry(address=0x118, target=0x1))
         assert h.first_hit_in_row(0x100).entry.address == 0x118
         assert h.first_hit_in_row(0x120) is None
+
+
+#: Row starts of two adjacent rows and of rows aliasing them in 8-row
+#: structures, so entries share way lists without sharing a 32-byte row (in
+#: 1-row structures every row aliases).
+_ROWS = [0x100, 0x120, 0x100 + 8 * 32, 0x120 + 16 * 32]
+_ADDRESSES = st.builds(lambda row, offset: row + offset,
+                       st.sampled_from(_ROWS), st.sampled_from([0, 4, 8, 30]))
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["btb1", "btbp", "touch1", "touchp"]),
+              _ADDRESSES),
+    max_size=24,
+)
+
+
+def _same_hit(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.entry is b.entry and a.level is b.level
+            and a.from_mru == b.from_mru)
+
+
+@given(ops=_OPS, probes=st.lists(_ADDRESSES, min_size=1, max_size=8),
+       rows=st.sampled_from([1, 8]), btbp_enabled=st.booleans())
+# The next row's first byte shares a 1-row way list but not the row.
+@example(ops=[("btbp", 0x120)], probes=[0x11E], rows=1, btbp_enabled=True)
+@example(ops=[("btb1", 0x120)], probes=[0x11E], rows=1, btbp_enabled=True)
+# A BTB1/BTBP tie behind a BTBP-only hit the BTB1 copy must not shadow.
+@example(ops=[("btbp", 0x104), ("btb1", 0x108), ("btbp", 0x108)],
+         probes=[0x100], rows=8, btbp_enabled=True)
+def test_first_hit_is_the_head_of_hits_in_row(ops, probes, rows,
+                                              btbp_enabled):
+    """The single-scan probe equals the full row search's first hit.
+
+    Installs draw from a small pool, so the same address lands in both the
+    BTB1 and the BTBP (a tie the BTB1 wins), and aliasing rows share a way
+    list the row tag must filter.  Touches reorder the ways, moving MRU.
+    """
+    h = make_hierarchy(btb1_rows=rows, btb1_ways=3, btbp_rows=rows,
+                       btbp_ways=3, btbp_enabled=btbp_enabled)
+    for op, address in ops:
+        if op == "btb1":
+            h.btb1.install(BTBEntry(address=address, target=0x4000))
+        elif op == "btbp" and h.btbp is not None:
+            h.btbp.write(BTBEntry(address=address, target=0x5000),
+                         WriteSource.SURPRISE)
+        elif op == "touch1" and h.btb1.lookup(address) is not None:
+            h.btb1.touch(h.btb1.lookup(address))
+        elif op == "touchp" and h.btbp is not None \
+                and h.btbp.lookup(address) is not None:
+            h.btbp.touch(h.btbp.lookup(address))
+    for probe in probes + [address for _, address in ops]:
+        expected = (h.hits_in_row(probe) or [None])[0]
+        assert _same_hit(h.first_hit_in_row(probe), expected)
 
 
 class TestMoveProtocol:

@@ -125,6 +125,38 @@ class TestOrderingTracker:
         entry = table.lookup(BLOCK)
         assert entry.sector_active(1) and entry.sector_active(4)
 
+    def test_repeat_in_the_last_sector_changes_nothing(self):
+        table = OrderingTable(sets=64, ways=2)
+        tracker = OrderingTracker(table)
+        tracker.observe(BLOCK + 0x80)
+        state = tracker.state_dict()
+        tracker.observe(BLOCK + 0x84)
+        tracker.observe(BLOCK + 0xFE)
+        assert tracker.state_dict() == state
+
+    def test_flush_forgets_the_last_sector(self):
+        table = OrderingTable(sets=64, ways=2)
+        tracker = OrderingTracker(table)
+        tracker.observe(BLOCK + 0x80)
+        tracker.flush()
+        # Same sector as the last observe: the flushed entry is gone, so a
+        # new pending entry must open.
+        tracker.observe(BLOCK + 0x84)
+        assert tracker.state_dict()["pending"] == {
+            "block": BLOCK, "sector_bits": 1 << 1, "quartile_refs": [0] * 4,
+        }
+
+    def test_restore_forgets_the_last_sector(self):
+        table = OrderingTable(sets=64, ways=2)
+        empty = OrderingTracker(table).state_dict()
+        tracker = OrderingTracker(table)
+        tracker.observe(BLOCK + 0x80)
+        tracker.load_state_dict(empty)
+        tracker.observe(BLOCK + 0x84)
+        assert tracker.state_dict()["pending"] == {
+            "block": BLOCK, "sector_bits": 1 << 1, "quartile_refs": [0] * 4,
+        }
+
 
 class TestSteering:
     def test_fallback_is_sequential_from_demand(self):

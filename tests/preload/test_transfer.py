@@ -161,3 +161,70 @@ class TestDelivery:
         engine.drain()
         assert engine.rows_read == 4
         assert engine.entries_transferred == 1
+
+
+class TestCheckpoint:
+    """``state_dict`` rows keep their shape; a restored engine matches."""
+
+    def _busy_engine(self, drained):
+        btb2, engine, installed = make_engine(
+            drained=lambda tracker, cycle: drained.append(
+                (trackers.index(tracker), cycle))
+        )
+        for offset in (4, 0x84, 0x1008, 0x2010):
+            btb2.install(BTBEntry(address=BLOCK + offset, target=0x1))
+        trackers = [tracker_for(BLOCK), tracker_for(BLOCK + 0x1000)]
+        engine.enqueue_sector(trackers[0], BLOCK, eligible_cycle=0,
+                              priority=1)
+        engine.enqueue_sector(trackers[1], BLOCK + 0x1000, eligible_cycle=2,
+                              priority=0, rows=8)
+        engine.enqueue_sector(trackers[0], BLOCK + 0x2000, eligible_cycle=5,
+                              priority=2)
+        engine.advance(6)
+        return btb2, engine, installed, trackers
+
+    def test_mid_transfer_snapshot_restores_and_resumes_identically(self):
+        drained = []
+        btb2, engine, installed, trackers = self._busy_engine(drained)
+        assert engine.pending_rows and engine.inflight_rows
+        state = engine.state_dict(trackers.index)
+        assert {len(row) for row in state["queue"]} == {5}
+        assert {len(row) for row in state["inflight"]} == {4}
+
+        # A fresh engine over copies of the BTB2 and trackers.
+        copy_btb2 = BTB2(rows=256, ways=2)
+        copy_btb2.load_state_dict(btb2.state_dict())
+        copy_trackers = [tracker_for(), tracker_for()]
+        for copy, original in zip(copy_trackers, trackers):
+            copy.load_state_dict(original.state_dict())
+        copy_installed = []
+        copy_drained = []
+        copy = TransferEngine(
+            btb2=copy_btb2, install=copy_installed.append,
+            on_tracker_drained=lambda tracker, cycle: copy_drained.append(
+                (copy_trackers.index(tracker), cycle)),
+        )
+        copy.load_state_dict(state, copy_trackers.__getitem__)
+        assert copy.state_dict(copy_trackers.index) == state
+
+        done = len(installed)
+        for cycle in (9, 12, 30, 60):
+            engine.advance(cycle)
+            copy.advance(cycle)
+            assert copy.rows_read == engine.rows_read
+            assert copy.entries_transferred == engine.entries_transferred
+        engine.drain()
+        copy.drain()
+        assert [entry.address for entry in copy_installed] == \
+            [entry.address for entry in installed[done:]]
+        assert copy_drained == drained
+        assert copy.state_dict(copy_trackers.index) == \
+            engine.state_dict(trackers.index)
+
+    def test_idle_advance_only_moves_the_clock(self):
+        btb2, engine, installed = make_engine()
+        state = engine.state_dict(lambda tracker: 0)
+        engine.advance(500)
+        engine.advance(100)
+        after = engine.state_dict(lambda tracker: 0)
+        assert after == {**state, "clock": 500}
