@@ -7,7 +7,9 @@ plus the full ``state_dict()`` comparison land in
 ``BENCH_engine_core.json`` at the repo root.  Functional warming has one
 engine, so its leg measures what justifies the duplicated loop in
 ``Simulator.warm_run``: the hoisted bulk loop against calling its
-per-record reference, ``warm_step``, on every record.
+per-record reference, ``warm_step``, on every record.  Every leg is timed
+in CPU seconds of this process, and each ratio is the median of
+per-round paired ratios (docs/PERFORMANCE.md, "Benchmark methodology").
 
 The batched core was introduced with an *aspirational* detail target of
 10x; the recorded number is the honestly achieved one.  In
@@ -23,6 +25,7 @@ docs/PERFORMANCE.md explains the fast/slow path contract and how to read
 the file; CI's nightly job uploads it as an artifact.
 """
 
+import statistics
 import time
 
 from common import write_bench
@@ -34,7 +37,7 @@ from repro.workloads.catalog import workload_by_name
 BENCH_WORKLOAD = "CB84"
 DETAIL_SCALE = 0.25
 WARM_SCALE = 0.35
-ROUNDS = 3
+ROUNDS = 7
 
 #: Aspirational target the batched core was introduced with, for context.
 TARGET_DETAIL_SPEEDUP = 10.0
@@ -47,24 +50,33 @@ FLOOR_DETAIL_SPEEDUP = 1.1
 FLOOR_BULK_WARM_SPEEDUP = 1.0
 
 
-def _best_throughputs(records, legs):
-    """Best-of-``ROUNDS`` records/second per ``(make_sim, run)`` leg.
+def _paired_throughputs(records, reference, fast):
+    """Median CPU-time throughputs of two ``(make_sim, run)`` legs.
 
-    Rounds alternate between the legs on fresh simulators, so host drift
-    during the bench is spread over every leg instead of landing on
-    whichever ran last.  Returns ``(best, final state_dict())`` per leg.
+    Each of ``ROUNDS`` rounds runs both legs on fresh simulators, timed
+    with ``time.process_time`` so other processes on the host do not
+    count, and alternates which leg goes first so drift within a round
+    lands on each leg equally often.  Returns the median records per CPU
+    second of each leg, the median over rounds of the fast leg's
+    throughput over the reference leg's in the same round, and each
+    leg's final ``state_dict()``.
     """
-    best = [0.0] * len(legs)
-    states = [None] * len(legs)
-    for _ in range(ROUNDS):
-        for index, (make_sim, run) in enumerate(legs):
+    legs = (reference, fast)
+    rates = ([], [])
+    states = [None, None]
+    for round_index in range(ROUNDS):
+        order = (0, 1) if round_index % 2 == 0 else (1, 0)
+        for index in order:
+            make_sim, run = legs[index]
             sim = make_sim()
-            started = time.perf_counter()
+            started = time.process_time()
             run(sim, records)
-            elapsed = time.perf_counter() - started
-            best[index] = max(best[index], len(records) / elapsed)
+            elapsed = time.process_time() - started
+            rates[index].append(len(records) / elapsed)
             states[index] = sim.state_dict()
-    return list(zip(best, states))
+    ratios = [fast / slow for slow, fast in zip(*rates)]
+    return (statistics.median(rates[0]), statistics.median(rates[1]),
+            statistics.median(ratios), states)
 
 
 def _warm_step_loop(sim, records):
@@ -79,23 +91,23 @@ def test_engine_core_throughput_and_identity():
     detail_trace = list(workload.trace(scale=DETAIL_SCALE))
     warm_trace = list(workload.trace(scale=WARM_SCALE))
 
-    (detail_object, detail_object_state), \
-        (detail_batched, detail_batched_state) = _best_throughputs(
-            detail_trace, [
-                (lambda: Simulator(config=ZEC12_CONFIG_2),
-                 lambda sim, records: sim.run(records)),
-                (lambda: Simulator(config=ZEC12_CONFIG_2, engine_mode="auto"),
-                 lambda sim, records: sim.run(records)),
-            ])
-    (warm_step, warm_step_state), (warm_bulk, warm_bulk_state) = \
-        _best_throughputs(warm_trace, [
-            (lambda: Simulator(config=ZEC12_CONFIG_2), _warm_step_loop),
+    detail_object, detail_batched, detail_speedup, detail_states = \
+        _paired_throughputs(
+            detail_trace,
             (lambda: Simulator(config=ZEC12_CONFIG_2),
-             lambda sim, records: sim.warm_run(records)),
-        ])
+             lambda sim, records: sim.run(records)),
+            (lambda: Simulator(config=ZEC12_CONFIG_2, engine_mode="auto"),
+             lambda sim, records: sim.run(records)),
+        )
+    warm_step, warm_bulk, warm_speedup, warm_states = _paired_throughputs(
+        warm_trace,
+        (lambda: Simulator(config=ZEC12_CONFIG_2), _warm_step_loop),
+        (lambda: Simulator(config=ZEC12_CONFIG_2),
+         lambda sim, records: sim.warm_run(records)),
+    )
 
-    detail_identical = detail_object_state == detail_batched_state
-    warm_identical = warm_step_state == warm_bulk_state
+    detail_identical = detail_states[0] == detail_states[1]
+    warm_identical = warm_states[0] == warm_states[1]
 
     # Escape statistics of one batched detailed run, for the record.
     sim = Simulator(config=ZEC12_CONFIG_2)
@@ -103,8 +115,6 @@ def test_engine_core_throughput_and_identity():
     batched.feed(detail_trace)
     sim.finish()
 
-    detail_speedup = detail_batched / detail_object
-    warm_speedup = warm_bulk / warm_step
     record = {
         "workload": workload.name,
         "config": ZEC12_CONFIG_2.name,
@@ -137,11 +147,11 @@ def test_engine_core_throughput_and_identity():
                          "benchmarks/bench_engine_core.py")
 
     print()
-    print(f"detail: object {detail_object:,.0f} rec/s, "
-          f"batched {detail_batched:,.0f} rec/s ({detail_speedup:.2f}x, "
+    print(f"detail: object {detail_object:,.0f} rec/CPU-s, "
+          f"batched {detail_batched:,.0f} ({detail_speedup:.2f}x, "
           f"target {TARGET_DETAIL_SPEEDUP:.0f}x)")
-    print(f"warm:   warm_step {warm_step:,.0f} rec/s, "
-          f"warm_run {warm_bulk:,.0f} rec/s ({warm_speedup:.2f}x)")
+    print(f"warm:   warm_step {warm_step:,.0f} rec/CPU-s, "
+          f"warm_run {warm_bulk:,.0f} ({warm_speedup:.2f}x)")
     print(f"-> {output.name}")
 
     assert detail_identical, "detailed batched run diverged from object"

@@ -55,8 +55,10 @@ Commands:
   nightly CI artifact.
 
 Everything the CLI does is also available as a library API; the CLI is a
-thin argparse layer over :mod:`repro.experiments` and
-:mod:`repro.engine.simulator`.
+thin argparse layer over :mod:`repro.experiments`: ``simulate``,
+``timeline``, ``profile`` and ``checkpoint create`` each build
+:class:`~repro.experiments.common.RunSpec` plans and run them through
+:func:`~repro.experiments.common.execute_plan` (no result cache).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import argparse
 import os
 import sys
 
-from repro.audit import AUDIT_ENV, Auditor
+from repro.audit import AUDIT_ENV
 from repro.core.config import (
     PredictorConfig,
     TABLE3_CONFIGS,
@@ -74,16 +76,15 @@ from repro.core.config import (
     ZEC12_CONFIG_3,
 )
 from repro.engine.batched import ENGINE_MODES
-from repro.engine.simulator import Simulator
 from repro.metrics.counters import cpi_improvement
 from repro.metrics.report import format_result
 from repro.sampling import (
     CheckpointStore,
     ConfidenceBoundExceeded,
     DEFAULT_CI_BOUND,
+    ParallelPlan,
     SamplingPlan,
     error_report,
-    run_sampled,
 )
 from repro.telemetry import (
     BranchProfiler,
@@ -175,15 +176,6 @@ def _sampling_plan(args) -> SamplingPlan:
     )
 
 
-def _checkpoint_context(args, spec):
-    """(store, trace_key) for ``--checkpoint-dir``, or (None, None)."""
-    if getattr(args, "checkpoint_dir", None) is None:
-        return None, None
-    from repro.experiments.common import trace_identity
-
-    return CheckpointStore(args.checkpoint_dir), trace_identity(spec, args.scale)
-
-
 def _relay_for(args, spec, key: str, multi: bool):
     """The relay a parallel ``simulate`` should stream through, or ``None``.
 
@@ -229,117 +221,62 @@ def _export_aggregate(args, relay, key: str, multi: bool) -> None:
         print(f"wrote {len(merged.registry.names())} metric(s) to {target}")
 
 
-def _simulate_zoo(args, spec) -> int:
-    """``simulate --predictor`` for non-paper registry entries.
+def _cmd_simulate(args) -> int:
+    from repro.experiments.common import RunSpec, execute_plan
+    from repro.predictors.registry import predictor_info
 
-    Zoo predictors are decode-coupled single-engine models: full-detail
-    runs only (the sampling/parallel machinery checkpoints the paper
-    stack's pipeline state), with telemetry and the internal audit
-    self-check available as usual.
-    """
-    from repro.predictors.registry import create_predictor, predictor_info
-
+    spec = workload_by_name(args.workload)
     info = predictor_info(args.predictor)
-    if args.sampled or args.parallel_intervals is not None:
-        print("--sampled/--parallel-intervals are implemented for the "
-              "paper stack only; zoo predictors run full detail",
-              file=sys.stderr)
+    zoo = info.name != "paper"
+    plans = [
+        RunSpec(
+            spec, CONFIGS[key], scale=args.scale, audit=args.audit,
+            sampling=_sampling_plan(args) if args.sampled else None,
+            checkpoint_dir=args.checkpoint_dir, engine_mode=args.engine,
+            parallel=(ParallelPlan(intervals=args.parallel_intervals)
+                      if args.parallel_intervals is not None else None),
+            backend=args.backend, predictor=info.name,
+        )
+        for key in args.configs
+    ]
+    try:
+        for plan in plans:
+            plan.validate()
+    except ValueError as refusal:
+        print(refusal, file=sys.stderr)
         return 2
     print(f"workload: {spec.name} (scale {args.scale})")
-    print(f"predictor: {info.name} — {info.summary}")
-    trace = spec.trace(scale=args.scale)
-    print(f"{len(trace):,} records\n")
+    if zoo:
+        print(f"predictor: {info.name} — {info.summary}")
+    print(f"{spec.scaled_length(args.scale):,} records\n")
     results = []
-    multi = len(args.configs) > 1
-    for key in args.configs:
-        config = CONFIGS[key]
+    multi = len(plans) > 1
+    for key, plan in zip(args.configs, plans):
         telemetry = _build_telemetry(args)
-        predictor = create_predictor(args.predictor, config=config,
-                                     audit=args.audit, telemetry=telemetry)
-        result = predictor.run(trace)
-        results.append(result)
-        print(format_result(result,
-                            title=f"{info.name} / {config.name}"))
-        if telemetry is not None:
-            _export_telemetry(args, telemetry, key, multi)
-        print()
-    if len(results) > 1:
-        base = results[0]
-        for other in results[1:]:
-            gain = cpi_improvement(base.cpi, other.cpi)
-            print(f"{other.config_name} vs {base.config_name}: "
-                  f"{gain:+.2f}% CPI")
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    spec = workload_by_name(args.workload)
-    if args.predictor != "paper":
-        return _simulate_zoo(args, spec)
-    print(f"workload: {spec.name} (scale {args.scale})")
-    trace = spec.trace(scale=args.scale)
-    print(f"{len(trace):,} records\n")
-    results = []
-    multi = len(args.configs) > 1
-    for key in args.configs:
-        config = CONFIGS[key]
-        auditor = Auditor() if args.audit else None
-        telemetry = _build_telemetry(args)
-        relay = None
-        if args.parallel_intervals is not None:
-            if args.audit:
-                print("--audit cannot combine with --parallel-intervals: "
-                      "per-record audit hooks do not cross worker process "
-                      "boundaries", file=sys.stderr)
-                return 2
-            from repro.sampling import ParallelPlan, TraceSource, run_parallel
-
-            relay = _relay_for(args, spec, key, multi)
-            store, trace_key = _checkpoint_context(args, spec)
-            stitched = run_parallel(
-                TraceSource.for_workload(spec, args.scale),
-                config=config,
-                plan=ParallelPlan(intervals=args.parallel_intervals),
-                sampling=_sampling_plan(args) if args.sampled else None,
-                checkpoint_store=store, trace_key=trace_key,
-                engine_mode=args.engine, backend=args.backend,
-                telemetry=telemetry, relay=relay,
-            )
-            result = stitched.result
-            print(stitched.describe())
+        relay = (_relay_for(args, spec, key, multi)
+                 if plan.parallel is not None else None)
+        result, source = execute_plan(plan, telemetry=telemetry, relay=relay)
+        sampled = source
+        if plan.parallel is not None:
+            print(source.describe())
             if relay is not None:
                 _export_aggregate(args, relay, key, multi)
-            if stitched.sampled is not None:
-                try:
-                    print(error_report(stitched.sampled, max_ci=args.max_ci))
-                except ConfidenceBoundExceeded as refusal:
-                    print(refusal, file=sys.stderr)
-                    return 1
-            print()
-        elif args.sampled:
-            store, trace_key = _checkpoint_context(args, spec)
-            sampled = run_sampled(
-                trace, config=config, plan=_sampling_plan(args),
-                audit=auditor, telemetry=telemetry,
-                checkpoint_store=store, trace_key=trace_key,
-                engine_mode=args.engine,
-            )
-            result = sampled.result
+            sampled = source.sampled
+        if sampled is not None:
             try:
                 print(error_report(sampled, max_ci=args.max_ci))
             except ConfidenceBoundExceeded as refusal:
                 print(refusal, file=sys.stderr)
                 return 1
-            if store is not None:
+            if plan.parallel is None and plan.checkpoint_dir is not None:
                 print(f"  checkpoints: {sampled.checkpoints_loaded} loaded, "
                       f"{sampled.checkpoints_saved} saved "
                       f"({args.checkpoint_dir})")
+        if source is not None:
             print()
-        else:
-            result = Simulator(config, audit=auditor, telemetry=telemetry,
-                               engine_mode=args.engine).run(trace)
         results.append(result)
-        print(format_result(result))
+        title = f"{info.name} / {plan.config.name}" if zoo else None
+        print(format_result(result, title=title))
         if telemetry is not None:
             _export_telemetry(args, telemetry, key, multi,
                               skip_tracer=relay is not None)
@@ -361,11 +298,12 @@ def _cmd_simulate(args) -> int:
 
 def _run_with_telemetry(args, telemetry: Telemetry):
     """Shared ``timeline``/``profile`` setup: one instrumented run."""
+    from repro.experiments.common import RunSpec, execute_plan
+
     spec = workload_by_name(args.workload)
-    trace = spec.trace(scale=args.scale)
-    config = CONFIGS[args.config]
-    auditor = Auditor() if args.audit else None
-    result = Simulator(config, audit=auditor, telemetry=telemetry).run(trace)
+    plan = RunSpec(spec, CONFIGS[args.config], scale=args.scale,
+                   audit=args.audit)
+    result, _ = execute_plan(plan, telemetry=telemetry)
     return spec, result
 
 
@@ -419,18 +357,15 @@ def _cmd_checkpoint(args) -> int:
     if args.workload is None:
         print("checkpoint create requires a workload", file=sys.stderr)
         return 2
-    spec = workload_by_name(args.workload)
-    config = CONFIGS[args.config]
-    trace = spec.trace(scale=args.scale)
-    from repro.experiments.common import trace_identity
+    from repro.experiments.common import RunSpec, execute_plan
 
-    auditor = Auditor() if args.audit else None
-    sampled = run_sampled(
-        trace, config=config, plan=_sampling_plan(args), audit=auditor,
-        checkpoint_store=store, trace_key=trace_identity(spec, args.scale),
-    )
+    spec = workload_by_name(args.workload)
+    plan = RunSpec(spec, CONFIGS[args.config], scale=args.scale,
+                   audit=args.audit, sampling=_sampling_plan(args),
+                   checkpoint_dir=args.dir)
+    _, sampled = execute_plan(plan)
     print(f"workload: {spec.name} (scale {args.scale}), "
-          f"config {config.name}")
+          f"config {plan.config.name}")
     print(f"plan: {sampled.plan.describe()}")
     print(f"checkpoints: {sampled.checkpoints_saved} saved, "
           f"{sampled.checkpoints_loaded} reused ({args.dir})")

@@ -3,9 +3,9 @@
 Every figure of the paper is a set of (workload, configuration) simulation
 runs post-processed into CPI improvements.  Runs are expensive, and the
 figures share many of them (every figure needs the configuration-1 baseline
-on all 13 traces), so results are cached on disk as JSON, one file per full
-(workload, config, timing, scale) fingerprint.  Delete ``.results_cache/``
-(or set ``REPRO_RESULTS_CACHE=off``) to force re-simulation.
+on all 13 traces), so results are cached on disk as JSON, one file per
+:meth:`RunSpec.fingerprint`.  Delete ``.results_cache/`` (or set
+``REPRO_RESULTS_CACHE=off``) to force re-simulation.
 
 The cache is safe under concurrent writers (see
 :mod:`repro.experiments.pool`, which fans runs out over a process pool):
@@ -37,16 +37,20 @@ from repro.audit import Auditor, audit_from_env
 from repro.core.config import PredictorConfig
 from repro.core.events import OutcomeKind
 from repro.engine.params import DEFAULT_TIMING, TimingParams
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import SimulationResult
 from repro.experiments.backends import resolve_backend
+from repro.predictors.registry import create_predictor, predictor_info
 from repro.sampling import (
     CheckpointStore,
     ParallelPlan,
+    ParallelResult,
+    SampledResult,
     SamplingPlan,
     TraceSource,
     run_parallel,
     run_sampled,
 )
+from repro.telemetry import Telemetry
 from repro.telemetry.distributed import TelemetryRelay
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.monitor import StatusBoard
@@ -132,59 +136,112 @@ _REQUIRED_FIELDS = frozenset(
 _KNOWN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunResult))
 
 
-def run_fingerprint(spec: WorkloadSpec, config: PredictorConfig,
-                    timing: TimingParams, scale: float,
-                    sampling: SamplingPlan | None = None,
-                    engine_mode: str = "object",
-                    parallel: ParallelPlan | None = None,
-                    backend: str | None = None,
-                    predictor: str = "paper") -> str:
-    """Stable cache key of one (workload, config, timing, scale) run.
+@dataclass(frozen=True)
+class RunSpec:
+    """One simulation run: the only description of its inputs.
 
-    Any change to the workload's generator parameters, the configuration's
-    structural knobs (``name`` excluded), the timing model, or the scale
-    yields a new fingerprint — which is also the cache invalidation rule:
-    nothing is ever invalidated in place, changed inputs simply miss.
-
-    A sampled run keys on the sampling plan as well: its estimates must
-    never be served from (or to) a full-detail run's cache slot.  Full runs
-    keep their historical fingerprints (``sampling=None`` adds nothing to
-    the payload).
-
-    ``engine_mode`` is fingerprinted the same way: only a non-default mode
-    extends the payload, so object-engine results keep their historical
-    keys while ``auto`` results can never be served from (or poison) an
-    object run's slot — even though the engines are verified bit-identical,
-    the cache must not *assume* it.
-
-    ``parallel`` follows the same append-only rule: a checkpoint-parallel
-    run keys on its plan (K) *and* the resolved backend name, so a serial
-    run's cache slot is never served for a parallel spec and vice versa —
-    exact-mode parity between the two slots is something ``repro verify``
-    proves, not something the cache presumes.  ``backend`` extends the
-    payload only alongside ``parallel``: for serial runs it is pure
-    execution plumbing with no bearing on the result.
-
-    ``predictor`` is append-only too: the default paper stack adds nothing
-    (historical keys survive), while every zoo predictor extends the
-    payload with its registry name — a zoo run can never collide with a
-    cached paper-stack slot, or with another zoo predictor's.
+    :meth:`validate` holds the refusal rules, :meth:`fingerprint` is the
+    result-cache key, :func:`execute_plan` runs a plan and :func:`run_plan`
+    serves it through the cache.  Plans are plain picklable values, which
+    is what :func:`repro.experiments.pool.run_many` ships to its workers.
     """
-    payload = repr((spec, _config_key(config), dataclasses.astuple(timing), scale))
-    if sampling is not None:
-        payload += repr(("sampled", sampling.cache_key()))
-    if engine_mode != "object":
-        payload += repr(("engine", engine_mode))
-    if parallel is not None:
-        payload += repr(("parallel", parallel.cache_key(),
-                         resolve_backend(backend).name))
-    if predictor != "paper":
-        payload += repr(("predictor", predictor))
-    return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
+    workload: WorkloadSpec
+    config: PredictorConfig
+    timing: TimingParams = DEFAULT_TIMING
+    #: Trace scale (``None`` defers to ``REPRO_SCALE``/1.0).
+    scale: float | None = None
+    #: Audit the run: a strict :class:`repro.audit.Auditor` on the paper
+    #: stack, the counter-conservation self-check on the zoo (``None``
+    #: defers to ``REPRO_AUDIT``).  Audited runs skip cache reads, so the
+    #: checks actually execute.
+    audit: bool | None = None
+    #: Interval-sampling plan (:func:`repro.sampling.run_sampled`); ``None``
+    #: runs full detail.
+    sampling: SamplingPlan | None = None
+    #: :class:`repro.sampling.CheckpointStore` directory of sampled and
+    #: parallel runs: warmed states are created once and reused.
+    checkpoint_dir: str | None = None
+    #: Engine of the detailed records (:data:`repro.engine.ENGINE_MODES`,
+    #: dispatched by :meth:`repro.engine.simulator.Simulator.feed`);
+    #: warming always runs the object engine, and the zoo has one engine.
+    engine_mode: str = "object"
+    #: Checkpoint-parallel plan (:func:`repro.sampling.run_parallel`);
+    #: ``None`` runs serially.  With ``sampling`` the slices run the
+    #: sampling plan's intervals; alone the run is exact.
+    parallel: ParallelPlan | None = None
+    #: Execution backend of the parallel fan-out (``None`` defers to
+    #: ``REPRO_BACKEND``/``process``).
+    backend: str | None = None
+    #: Predictor registry name (:mod:`repro.predictors.registry`).
+    predictor: str = "paper"
 
-# Backwards-compatible private alias (older tests/scripts may import it).
-_fingerprint = run_fingerprint
+    @property
+    def label(self) -> str:
+        """Status-board name of the run: ``workload/config``."""
+        return f"{self.workload.name}/{self.config.name}"
+
+    def resolved_scale(self) -> float:
+        """The concrete scale (``None`` defers to ``REPRO_SCALE``/1.0)."""
+        return self.scale if self.scale is not None else default_scale()
+
+    def resolved_audit(self) -> bool:
+        """The concrete audit switch (``None`` defers to ``REPRO_AUDIT``)."""
+        return self.audit if self.audit is not None else audit_from_env()
+
+    def validate(self) -> None:
+        """Refuse a plan no executor honours, with a ``ValueError``.
+
+        Audited runs cannot be checkpoint-parallel: audit hooks are
+        per-record and do not cross worker processes, and skipping them
+        silently would defeat the audit.  Sampled and parallel execution
+        checkpoint the paper stack's pipeline state, so zoo predictors run
+        serial full detail only.  Unknown predictor names are refused too.
+        """
+        if self.parallel is not None and self.resolved_audit():
+            raise ValueError(
+                "audited runs cannot be checkpoint-parallel: audit hooks are "
+                "per-record and do not cross worker process boundaries; drop "
+                "--parallel-intervals or the audit flag"
+            )
+        predictor_info(self.predictor)
+        if self.predictor != "paper" and (self.sampling is not None
+                                          or self.parallel is not None):
+            raise ValueError(
+                "sampled and checkpoint-parallel execution are implemented "
+                "for the paper stack only; drop the sampling/parallel plan "
+                "or use predictor='paper'"
+            )
+
+    def fingerprint(self) -> str:
+        """Result-cache key: sha256 of the keyed inputs, 20 hex digits.
+
+        Workload, configuration (every knob but ``name``), timing and the
+        resolved scale are always keyed.  ``sampling``, ``engine_mode``,
+        ``parallel`` and ``predictor`` are keyed only when not the default,
+        so adding each of them left every earlier key valid; a sampled
+        estimate, another engine's result, a parallel run or a zoo run
+        never shares a slot with the default run, even where ``repro
+        verify`` proves the results equal.  ``backend`` is keyed only with
+        ``parallel`` (by resolved name): a serial run never uses it.
+        ``audit`` and ``checkpoint_dir`` are never keyed: they change what
+        is checked and how long a run takes, never its result.  The
+        digests of older trees are pinned in
+        ``tests/experiments/test_common.py``.
+        """
+        payload = repr((self.workload, _config_key(self.config),
+                        dataclasses.astuple(self.timing),
+                        self.resolved_scale()))
+        if self.sampling is not None:
+            payload += repr(("sampled", self.sampling.cache_key()))
+        if self.engine_mode != "object":
+            payload += repr(("engine", self.engine_mode))
+        if self.parallel is not None:
+            payload += repr(("parallel", self.parallel.cache_key(),
+                             resolve_backend(self.backend).name))
+        if self.predictor != "paper":
+            payload += repr(("predictor", self.predictor))
+        return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
 
 def _config_key(config: PredictorConfig) -> tuple:
@@ -259,7 +316,7 @@ def trace_identity(spec: WorkloadSpec, scale: float) -> str:
     return hashlib.sha256(repr((spec, scale)).encode()).hexdigest()[:16]
 
 
-def _sampled_info(sampled) -> dict:
+def _sampled_info(sampled: SampledResult) -> dict:
     """The ``sampling`` provenance block of a sampled run's cache entry."""
     return {
         "plan": sampled.plan.describe(),
@@ -273,152 +330,90 @@ def _sampled_info(sampled) -> dict:
     }
 
 
-def _simulate(spec, config, timing, scale, auditor, sampling,
-              checkpoint_dir, engine_mode, parallel, backend,
-              relay, telemetry, label, predictor="paper"):
-    """Dispatch one cache-missed run to its execution strategy.
+def _parallel_info(stitched: ParallelResult) -> dict:
+    """The ``parallel`` provenance block of a parallel run's cache entry."""
+    return {
+        "mode": stitched.mode,
+        "plan_key": list(stitched.plan.cache_key()),
+        "backend": stitched.backend,
+        "slices": len(stitched.outcomes),
+        "exact": stitched.exact,
+        "warm_fallbacks": stitched.warm_fallbacks,
+        "produced_records": stitched.produced_records,
+        "checkpoints_loaded": stitched.checkpoints_loaded,
+        "checkpoints_saved": stitched.checkpoints_saved,
+    }
 
-    Returns ``(result, sampling_info, parallel_info)`` — the simulation
-    result plus the provenance blocks the cache entry records.
+
+def execute_plan(
+    plan: RunSpec,
+    *,
+    telemetry: Telemetry | None = None,
+    relay: TelemetryRelay | None = None,
+    status_label: str | None = None,
+) -> tuple[SimulationResult, SampledResult | ParallelResult | None]:
+    """Validate and run ``plan``, without the result cache.
+
+    Parallel plans run through :func:`repro.sampling.run_parallel`, sampled
+    ones through :func:`repro.sampling.run_sampled`, and the rest, paper
+    stack and zoo alike, through ``create_predictor(plan.predictor).run``.
+    Returns the result with the :class:`~repro.sampling.ParallelResult` or
+    :class:`~repro.sampling.SampledResult` it came from (``None`` for a
+    full-detail run), for callers that record provenance or print it.
+
+    The observers are wiring, not plan: ``telemetry`` watches the run (the
+    orchestrator of a parallel one), ``relay`` carries the parallel
+    workers' telemetry home, and ``status_label`` names their status-board
+    entries.  An audited plan gets a fresh strict auditor.
     """
-    sampling_info: dict | None = None
-    parallel_info: dict | None = None
-    if parallel is not None:
-        store = (CheckpointStore(checkpoint_dir)
-                 if checkpoint_dir is not None else None)
+    plan.validate()
+    scale = plan.resolved_scale()
+    store = (CheckpointStore(plan.checkpoint_dir)
+             if plan.checkpoint_dir is not None else None)
+    trace_key = trace_identity(plan.workload, scale)
+    if plan.parallel is not None:
         stitched = run_parallel(
-            TraceSource.for_workload(spec, scale),
-            config=config, timing=timing, plan=parallel, sampling=sampling,
-            checkpoint_store=store, trace_key=trace_identity(spec, scale),
-            engine_mode=engine_mode, backend=backend,
-            relay=relay, status_label=label,
+            TraceSource.for_workload(plan.workload, scale),
+            config=plan.config, timing=plan.timing, plan=plan.parallel,
+            sampling=plan.sampling, checkpoint_store=store,
+            trace_key=trace_key, engine_mode=plan.engine_mode,
+            backend=plan.backend, telemetry=telemetry, relay=relay,
+            status_label=status_label,
         )
-        result = stitched.result
-        parallel_info = {
-            "mode": stitched.mode,
-            "plan_key": list(stitched.plan.cache_key()),
-            "backend": stitched.backend,
-            "slices": len(stitched.outcomes),
-            "exact": stitched.exact,
-            "warm_fallbacks": stitched.warm_fallbacks,
-            "produced_records": stitched.produced_records,
-            "checkpoints_loaded": stitched.checkpoints_loaded,
-            "checkpoints_saved": stitched.checkpoints_saved,
-        }
-        if stitched.sampled is not None:
-            sampling_info = _sampled_info(stitched.sampled)
-        return result, sampling_info, parallel_info
-    trace = spec.trace(scale)
+        return stitched.result, stitched
+    trace = plan.workload.trace(scale)
     if not trace:
-        raise RuntimeError(f"empty trace for {spec.name} at scale {scale}")
-    if predictor != "paper":
-        from repro.predictors.registry import create_predictor
-
-        instance = create_predictor(
-            predictor, config=config, timing=timing,
-            audit=auditor is not None, telemetry=telemetry)
-        return instance.run(trace), None, None
-    if sampling is not None:
-        store = (CheckpointStore(checkpoint_dir)
-                 if checkpoint_dir is not None else None)
+        raise RuntimeError(
+            f"empty trace for {plan.workload.name} at scale {scale}")
+    audit = plan.resolved_audit()
+    if plan.sampling is not None:
         sampled = run_sampled(
-            trace, config=config, timing=timing, plan=sampling,
-            audit=auditor, checkpoint_store=store,
-            trace_key=trace_identity(spec, scale),
-            engine_mode=engine_mode, telemetry=telemetry,
+            trace, config=plan.config, timing=plan.timing, plan=plan.sampling,
+            audit=Auditor() if audit else None, telemetry=telemetry,
+            checkpoint_store=store, trace_key=trace_key,
+            engine_mode=plan.engine_mode,
         )
-        return sampled.result, _sampled_info(sampled), None
-    result = Simulator(config=config, timing=timing, audit=auditor,
-                       engine_mode=engine_mode,
-                       telemetry=telemetry).run(trace)
-    return result, None, None
+        return sampled.result, sampled
+    predictor = create_predictor(
+        plan.predictor, plan.config, plan.timing, audit=audit,
+        telemetry=telemetry, engine_mode=plan.engine_mode)
+    return predictor.run(trace), None
 
 
-def run_workload(
-    spec: WorkloadSpec,
-    config: PredictorConfig,
-    timing: TimingParams = DEFAULT_TIMING,
-    scale: float | None = None,
-    audit: bool | None = None,
-    sampling: SamplingPlan | None = None,
-    checkpoint_dir: str | None = None,
-    engine_mode: str = "object",
-    parallel: ParallelPlan | None = None,
-    backend: str | None = None,
-    predictor: str = "paper",
-) -> RunResult:
-    """Simulate ``spec`` under ``config``, using the on-disk result cache.
+def run_plan(plan: RunSpec) -> RunResult:
+    """Run ``plan`` through the on-disk result cache.
 
-    This is the serial single-run entry point; batches of runs should go
-    through :func:`repro.experiments.pool.run_many`, which deduplicates,
-    consults the same cache, and can dispatch misses to worker processes.
-
-    ``audit`` runs the simulation under a strict
-    :class:`repro.audit.Auditor` (``None`` defers to the ``REPRO_AUDIT``
-    environment variable).  Audited runs bypass cache *reads* — a hit
-    would skip the checks — but still publish their result, which is
-    identical to an unaudited run's.
-
-    ``sampling`` switches the run to interval sampling
-    (:func:`repro.sampling.run_sampled`): the result carries extrapolated
-    estimates plus a ``sampling`` provenance block, and caches under a
-    distinct fingerprint.  ``checkpoint_dir`` (sampled runs only) names a
-    :class:`repro.sampling.CheckpointStore` so warmed interval states are
-    created once and reused.
-
-    ``engine_mode`` selects the engine of every detailed record — full,
-    sampled and parallel runs alike (:data:`repro.engine.ENGINE_MODES`,
-    dispatched by :meth:`repro.engine.simulator.Simulator.feed`); warming
-    always uses the object engine.  Results are verified bit-identical
-    across engines, but each mode caches under its own fingerprint.
-
-    ``parallel`` switches execution to checkpoint-parallel interval
-    simulation (:func:`repro.sampling.run_parallel`): the trace is cut
-    into K slices fanned out over ``backend``, and the stitched result
-    caches under its own fingerprint.  Combined with ``sampling`` the
-    slices run the sampling plan's intervals (CI-bounded estimates);
-    alone, the run is exact — bit-identical to the serial path.
-    Parallel runs cannot be audited: per-record audit hooks do not cross
-    worker process boundaries, and silently skipping them would defeat
-    the point of ``audit``.
-
-    ``predictor`` selects a registered zoo predictor instead of the paper
-    stack (``repro.predictors``).  Zoo runs are serial full-detail only:
-    sampling, checkpoint-parallel execution, and alternate engine modes
-    are paper-stack machinery and are rejected rather than silently
-    ignored.  ``audit`` enables the zoo's counter-conservation self-check.
+    A refused plan raises before the cache is read.  A hit is served
+    without simulating, unless the plan is audited: a hit would skip the
+    checks, so audited runs only publish their result, which equals an
+    unaudited run's.  Every run is counted in the metrics registry and
+    heartbeats on the status board (``$REPRO_STATUS``).
     """
-    if scale is None:
-        scale = default_scale()
-    if audit is None:
-        audit = audit_from_env()
-    if parallel is not None and audit:
-        raise ValueError(
-            "audited runs cannot be checkpoint-parallel: audit hooks are "
-            "per-record and do not cross worker process boundaries; drop "
-            "--parallel-intervals or the audit flag"
-        )
-    if predictor != "paper":
-        from repro.predictors.registry import predictor_info
-
-        predictor_info(predictor)  # fail fast on unknown names
-        if sampling is not None or parallel is not None:
-            raise ValueError(
-                "sampled and checkpoint-parallel execution are implemented "
-                "for the paper stack only; drop the sampling/parallel plan "
-                "or use predictor='paper'"
-            )
-        if engine_mode != "object":
-            raise ValueError(
-                "alternate engine modes exist for the paper stack only; "
-                "zoo predictors have a single engine"
-            )
-    key = run_fingerprint(spec, config, timing, scale, sampling,
-                          engine_mode=engine_mode, parallel=parallel,
-                          backend=backend, predictor=predictor)
+    plan.validate()
+    key = plan.fingerprint()
     board = StatusBoard.from_env()
-    label = f"{spec.name}/{config.name}"
-    if not audit:
+    label = plan.label
+    if not plan.resolved_audit():
         cached = load_cached_run(key)
         if cached is not None:
             REGISTRY.counter(
@@ -439,7 +434,7 @@ def run_workload(
     relay = TelemetryRelay.from_env()
     session = None
     telemetry = None
-    if relay is not None and parallel is None:
+    if relay is not None and plan.parallel is None:
         session = relay.worker_session(
             multiprocessing.current_process().name, next(_RELAY_SLICES))
         telemetry = session.telemetry
@@ -447,12 +442,9 @@ def run_workload(
         board.beat(label, "measuring")
 
     started = time.perf_counter()
-    auditor = Auditor() if audit else None
     try:
-        result, sampling_info, parallel_info = _simulate(
-            spec, config, timing, scale, auditor, sampling, checkpoint_dir,
-            engine_mode, parallel, backend, relay, telemetry, label,
-            predictor=predictor)
+        result, source = execute_plan(plan, telemetry=telemetry, relay=relay,
+                                      status_label=label)
     except BaseException:
         if session is not None:
             session.close()
@@ -460,9 +452,10 @@ def run_workload(
             board.beat(label, "failed")
         raise
     elapsed = time.perf_counter() - started
+    sampled = source.sampled if plan.parallel is not None else source
     run = RunResult(
-        workload=spec.name,
-        config=config.name,
+        workload=plan.workload.name,
+        config=plan.config.name,
         cpi=result.cpi,
         instructions=result.counters.instructions,
         branches=result.counters.branches,
@@ -471,9 +464,10 @@ def run_workload(
             for kind, fraction in result.counters.outcome_fractions().items()
         },
         preload_stats=dict(result.preload_stats),
-        predictor=predictor,
-        sampling=sampling_info,
-        parallel=parallel_info,
+        predictor=plan.predictor,
+        sampling=_sampled_info(sampled) if sampled is not None else None,
+        parallel=(_parallel_info(source) if plan.parallel is not None
+                  else None),
         wall_seconds=elapsed,
         worker=multiprocessing.current_process().name,
     )
@@ -497,6 +491,25 @@ def run_workload(
                    seconds=elapsed)
     store_cached_run(key, run)
     return run
+
+
+def run_workload(
+    spec: WorkloadSpec,
+    config: PredictorConfig,
+    timing: TimingParams = DEFAULT_TIMING,
+    scale: float | None = None,
+    **plan,
+) -> RunResult:
+    """Simulate ``spec`` under ``config``, using the on-disk result cache.
+
+    The keyword arguments are the remaining :class:`RunSpec` fields
+    (``audit``, ``sampling``, ``checkpoint_dir``, ``engine_mode``,
+    ``parallel``, ``backend``, ``predictor``); see :func:`run_plan`.
+    This is the serial single-run entry point; batches of runs should go
+    through :func:`repro.experiments.pool.run_many`, which deduplicates,
+    consults the same cache, and can dispatch misses to worker processes.
+    """
+    return run_plan(RunSpec(spec, config, timing, scale, **plan))
 
 
 def run_all_workloads(

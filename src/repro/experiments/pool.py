@@ -6,7 +6,8 @@ of :mod:`repro.experiments.common` is safe under concurrent writers
 (atomic temp-file-then-rename publication, one file per fingerprint,
 tolerant reads).  This module exploits that:
 
-* :class:`RunSpec` names one run by its full cache-key inputs;
+* :class:`~repro.experiments.common.RunSpec` names one run (re-exported
+  here);
 * :func:`run_many` takes a batch of specs, deduplicates them by cache
   fingerprint, serves what it can from the cache, and simulates only the
   misses — dispatched through a pluggable execution
@@ -36,84 +37,24 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.audit import audit_from_env
-from repro.core.config import PredictorConfig
-from repro.engine.params import DEFAULT_TIMING, TimingParams
 from repro.experiments.backends import Backend, resolve_backend
 from repro.experiments.common import (
     RunResult,
+    RunSpec,
     load_cached_run,
-    run_fingerprint,
-    run_workload,
+    run_plan,
 )
-from repro.sampling import ParallelPlan, SamplingPlan
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.monitor import StatusBoard, shutdown_sweep
-from repro.workloads.catalog import WorkloadSpec, default_scale
 
 #: Environment variable supplying the default worker count for batch runs.
 JOBS_ENV = "REPRO_JOBS"
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One requested simulation run, by its full cache-key inputs."""
-
-    workload: WorkloadSpec
-    config: PredictorConfig
-    timing: TimingParams = DEFAULT_TIMING
-    scale: float | None = None
-    #: Run under a strict :class:`repro.audit.Auditor` (``None`` defers to
-    #: the ``REPRO_AUDIT`` environment variable).  Not part of the cache
-    #: fingerprint: audited results are identical to unaudited ones, but
-    #: audited runs skip cache *reads* so the checks actually execute.
-    audit: bool | None = None
-    #: Interval-sampling plan; ``None`` runs full detail.  Part of the
-    #: fingerprint — sampled estimates cache separately from full runs.
-    sampling: SamplingPlan | None = None
-    #: Checkpoint-store directory for sampled runs (not fingerprinted:
-    #: checkpoints change wall time, never results).
-    checkpoint_dir: str | None = None
-    #: Engine of the detailed records (:data:`repro.engine.ENGINE_MODES`;
-    #: warming always runs the object engine).  Part of the fingerprint
-    #: when non-default, so cached results never mix across engines.
-    engine_mode: str = "object"
-    #: Checkpoint-parallel plan; ``None`` runs serially.  Part of the
-    #: fingerprint (with the resolved backend name): a parallel run's
-    #: cache slot is distinct from its serial twin's, even though exact
-    #: mode is verified bit-identical.
-    parallel: ParallelPlan | None = None
-    #: Execution backend name for the parallel fan-out (``None`` defers to
-    #: ``REPRO_BACKEND``/``process``).  Fingerprinted only alongside
-    #: ``parallel``.
-    backend: str | None = None
-    #: Predictor registry name (:mod:`repro.predictors.registry`).  Part of
-    #: the fingerprint when not the paper stack — each zoo member gets its
-    #: own cache slot.
-    predictor: str = "paper"
-
-    def resolved_scale(self) -> float:
-        """The concrete scale (``None`` defers to ``REPRO_SCALE``/1.0)."""
-        return self.scale if self.scale is not None else default_scale()
-
-    def resolved_audit(self) -> bool:
-        """The concrete audit switch (``None`` defers to ``REPRO_AUDIT``)."""
-        return self.audit if self.audit is not None else audit_from_env()
-
-    def fingerprint(self) -> str:
-        """Result-cache fingerprint of this run."""
-        return run_fingerprint(
-            self.workload, self.config, self.timing, self.resolved_scale(),
-            self.sampling, engine_mode=self.engine_mode,
-            parallel=self.parallel, backend=self.backend,
-            predictor=self.predictor,
-        )
 
 
 def effective_jobs(jobs: int | None = None) -> int:
@@ -205,32 +146,6 @@ class ExecutionLog:
 session_log = ExecutionLog()
 
 
-def _simulate_spec(item: tuple[WorkloadSpec, PredictorConfig, TimingParams,
-                               float, bool, SamplingPlan | None,
-                               str | None, str, ParallelPlan | None,
-                               str | None, str]) -> RunResult:
-    """Pool worker body: one cached simulation run.
-
-    Must stay a module-level function so it pickles under every
-    ``multiprocessing`` start method.  ``run_workload`` re-checks the cache
-    first (audited runs excepted), so a run another worker already
-    published is not repeated.
-    """
-    (spec, config, timing, scale, audit, sampling, checkpoint_dir, engine,
-     parallel, backend, predictor) = item
-    return run_workload(spec, config, timing, scale, audit=audit,
-                        sampling=sampling, checkpoint_dir=checkpoint_dir,
-                        engine_mode=engine, parallel=parallel,
-                        backend=backend, predictor=predictor)
-
-
-def _spec_item(spec: RunSpec) -> tuple:
-    """The picklable ``_simulate_spec`` argument for one spec."""
-    return (spec.workload, spec.config, spec.timing, spec.resolved_scale(),
-            spec.resolved_audit(), spec.sampling, spec.checkpoint_dir,
-            spec.engine_mode, spec.parallel, spec.backend, spec.predictor)
-
-
 @dataclass
 class _TimedRun:
     """One dispatched run plus its queue-wait and execute timings.
@@ -246,14 +161,27 @@ class _TimedRun:
     execute_seconds: float
 
 
-def _timed_simulate(item: tuple[float, tuple]) -> _TimedRun:
-    """Pool worker body wrapping :func:`_simulate_spec` with timings."""
-    enqueued, spec_item = item
+def _timed_simulate(item: tuple[float, RunSpec]) -> _TimedRun:
+    """Pool worker body: one cached run of a plan, with its timings.
+
+    Must stay a module-level function so it pickles under every
+    ``multiprocessing`` start method.  :func:`run_plan` re-checks the cache
+    first (audited runs excepted), so a run another worker already
+    published is not repeated.
+    """
+    enqueued, spec = item
     begun = time.time()
     started = time.perf_counter()
-    run = _simulate_spec(spec_item)
+    run = run_plan(spec)
     return _TimedRun(run, max(0.0, begun - enqueued),
                      time.perf_counter() - started)
+
+
+def _dispatched(spec: RunSpec) -> tuple[float, RunSpec]:
+    """A pool item: the enqueue time and the plan with its scale and audit
+    switch resolved here, so workers never consult their own environment."""
+    return time.time(), replace(spec, scale=spec.resolved_scale(),
+                                audit=spec.resolved_audit())
 
 
 def _record_dispatch(backend_name: str, timed: Sequence[_TimedRun],
@@ -335,8 +263,8 @@ def run_many(
                 "repro_runs_total", "workload runs by result", ("result",),
             ).inc(result="cached")
             if board is not None:
-                board.beat(f"{spec.workload.name}/{spec.config.name}",
-                           "cached", instructions=cached.instructions,
+                board.beat(spec.label, "cached",
+                           instructions=cached.instructions,
                            seconds=cached.wall_seconds)
     misses = [(key, spec) for key, spec in unique.items() if key not in results]
     hits = len(results)
@@ -346,12 +274,11 @@ def run_many(
     local = [(key, spec) for key, spec in misses if spec.parallel is not None]
     if board is not None:
         for _, spec in misses:
-            board.beat(f"{spec.workload.name}/{spec.config.name}", "queued")
+            board.beat(spec.label, "queued")
 
-    items = [(time.time(), _spec_item(spec)) for _, spec in pooled]
+    items = [_dispatched(spec) for _, spec in pooled]
     in_process = len(items) <= 1 or jobs == 1
-    miss_labels = [f"{spec.workload.name}/{spec.config.name}"
-                   for _, spec in misses]
+    miss_labels = [spec.label for _, spec in misses]
     with shutdown_sweep(board, miss_labels):
         if in_process:
             timed = [_timed_simulate(item) for item in items]
@@ -361,7 +288,7 @@ def run_many(
             results[key] = entry.run
         locally = []
         for key, spec in local:
-            entry = _timed_simulate((time.time(), _spec_item(spec)))
+            entry = _timed_simulate(_dispatched(spec))
             locally.append(entry)
             results[key] = entry.run
 

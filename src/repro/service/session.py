@@ -102,6 +102,15 @@ class _ChunkOutcome:
     error: str | None = None
 
 
+def _session_simulator(config: PredictorConfig, engine_mode: str,
+                       state: dict | None = None) -> Simulator:
+    """A session's simulator, restored from ``state`` when one is given."""
+    sim = Simulator(config=config, engine_mode=engine_mode)
+    if state is not None:
+        sim.load_state_dict(state)
+    return sim
+
+
 def _advance_chunk(task: _ChunkTask) -> _ChunkOutcome:
     """Worker body: feed one session's chunk; module-level so it pickles.
 
@@ -114,9 +123,7 @@ def _advance_chunk(task: _ChunkTask) -> _ChunkOutcome:
     try:
         sim = task.sim
         if sim is None:
-            sim = Simulator(config=task.config, engine_mode=task.engine_mode)
-            if task.state is not None:
-                sim.load_state_dict(task.state)
+            sim = _session_simulator(task.config, task.engine_mode, task.state)
         counters = sim.counters
         before = (counters.instructions, counters.branches,
                   counters.bad_outcomes, sim._cycle)
@@ -251,8 +258,8 @@ class SessionManager:
         """The checkpoint model key of this session's config/timing."""
         if session.sim is not None:
             return session.sim.model_fingerprint()
-        return Simulator(config=session.config,
-                         engine_mode=session.engine_mode).model_fingerprint()
+        return _session_simulator(
+            session.config, session.engine_mode).model_fingerprint()
 
     def get(self, session_id: str) -> Session:
         """The session for ``session_id``; typed 404 when unknown."""
@@ -308,7 +315,7 @@ class SessionManager:
         if resume:
             session.state = "suspended"
         elif not self._ship_state:
-            session.sim = Simulator(config=config, engine_mode=engine_mode)
+            session.sim = _session_simulator(config, engine_mode)
         session.reports = deque(maxlen=self.limits.reports_kept)
         self.sessions[session.id] = session
         self._count_sessions()
@@ -435,8 +442,8 @@ class SessionManager:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None,
-            lambda: Simulator(config=session.config,
-                              engine_mode=session.engine_mode).state_dict(),
+            lambda: _session_simulator(
+                session.config, session.engine_mode).state_dict(),
         )
 
     async def suspend(self, session: Session, *,
@@ -507,17 +514,13 @@ class SessionManager:
                 f"session {session.id} has no readable checkpoint in the "
                 f"spool (pruned, cleared, or corrupt)")
 
-        def _rebuild() -> Simulator:
-            sim = Simulator(config=session.config,
-                            engine_mode=session.engine_mode)
-            sim.load_state_dict(state)
-            return sim
-
         try:
             if self._ship_state:
                 session.state_blob = state
             else:
-                session.sim = await loop.run_in_executor(None, _rebuild)
+                session.sim = await loop.run_in_executor(
+                    None, _session_simulator, session.config,
+                    session.engine_mode, state)
         except ValueError as problem:
             raise ServiceError.invalid_state(
                 f"checkpoint rejected on load: {problem}") from problem
@@ -545,10 +548,9 @@ class SessionManager:
             def _finish() -> SimulationResult:
                 sim = session.sim
                 if sim is None:
-                    sim = Simulator(config=session.config,
-                                    engine_mode=session.engine_mode)
-                    if session.state_blob is not None:
-                        sim.load_state_dict(session.state_blob)
+                    sim = _session_simulator(session.config,
+                                             session.engine_mode,
+                                             session.state_blob)
                 return sim.finish()
 
             result = await loop.run_in_executor(None, _finish)

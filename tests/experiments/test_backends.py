@@ -7,7 +7,6 @@ import multiprocessing
 import pytest
 
 from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2
-from repro.engine.params import DEFAULT_TIMING
 from repro.experiments.backends import (
     BACKENDS,
     ProcessBackend,
@@ -15,11 +14,7 @@ from repro.experiments.backends import (
     default_backend_name,
     resolve_backend,
 )
-from repro.experiments.common import (
-    load_cached_run,
-    run_fingerprint,
-    run_workload,
-)
+from repro.experiments.common import load_cached_run, run_workload
 from repro.experiments.pool import ExecutionLog, RunSpec, run_many
 from repro.sampling import ParallelPlan
 from repro.workloads.catalog import workload_by_name
@@ -91,24 +86,24 @@ class TestParallelFingerprintIsolation:
     """Satellite 4: serial and parallel runs never share a cache slot."""
 
     def test_parallel_payload_extends_the_fingerprint(self):
-        base = run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING, SCALE)
-        par = run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING, SCALE,
-                              parallel=ParallelPlan(4), backend="serial")
+        base = RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE).fingerprint()
+        par = RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE,
+                      parallel=ParallelPlan(4), backend="serial").fingerprint()
         assert base != par
         # K and backend are both part of the slot identity.
-        assert par != run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING,
-                                      SCALE, parallel=ParallelPlan(8),
-                                      backend="serial")
-        assert par != run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING,
-                                      SCALE, parallel=ParallelPlan(4),
-                                      backend="process")
+        assert par != RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE,
+                              parallel=ParallelPlan(8),
+                              backend="serial").fingerprint()
+        assert par != RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE,
+                              parallel=ParallelPlan(4),
+                              backend="process").fingerprint()
 
     def test_backend_alone_does_not_change_serial_fingerprints(self):
         """For serial runs the backend is execution plumbing, not identity:
         historical cache entries must keep hitting."""
-        base = run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING, SCALE)
-        assert base == run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING,
-                                       SCALE, backend="serial")
+        base = RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE).fingerprint()
+        assert base == RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE,
+                               backend="serial").fingerprint()
 
     def test_serial_hit_never_served_for_parallel_spec(
         self, tmp_path, monkeypatch

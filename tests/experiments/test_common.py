@@ -1,15 +1,18 @@
 """Tests for the experiment runner and its result cache."""
 
 import json
+import pickle
 
 from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2
 from repro.core.events import OutcomeKind
 from repro.experiments.common import (
     RunResult,
+    RunSpec,
     geometric_mean,
     mean,
     run_workload,
 )
+from repro.sampling import ParallelPlan, SamplingPlan
 from repro.workloads.catalog import workload_by_name
 
 SPEC = workload_by_name("TPF")
@@ -44,6 +47,47 @@ class TestRunWorkload:
         payload = json.loads(payload_file.read_text())
         assert payload["workload"] == SPEC.name
         assert "outcome_fractions" in payload
+
+
+class TestRunSpecKeys:
+    def test_cache_keys_are_pinned(self):
+        # Absolute digests of result-cache entries written by earlier
+        # trees: a change to the key computation fails here instead of
+        # silently orphaning every cached run.
+        tpf = workload_by_name("TPF")
+        pinned = [
+            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02),
+             "40aa5edd5b55c6ced0d6"),
+            (RunSpec(workload_by_name("Z/OS DayTrader DBServ"),
+                     ZEC12_CONFIG_2, scale=0.3),
+             "88f9967bd7e7e470c196"),
+            (RunSpec(workload_by_name("Z/OS DBServ benchmark"),
+                     ZEC12_CONFIG_2, scale=0.3),
+             "61768cab58b7ea047740"),
+            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, engine_mode="auto"),
+             "4a344c32f1bd0b853dcc"),
+            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02,
+                     sampling=SamplingPlan()),
+             "cffeba94febe3a642ee2"),
+            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02,
+                     parallel=ParallelPlan(4), backend="serial"),
+             "d2519de9d826171bbecb"),
+            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, predictor="tage"),
+             "592f7cc55718303b8ea2"),
+            (RunSpec(tpf, ZEC12_CONFIG_1, scale=0.02),
+             "2c74681dabda82bb60c1"),
+        ]
+        assert ([plan.fingerprint() for plan, _ in pinned]
+                == [digest for _, digest in pinned])
+
+    def test_plan_survives_a_pickle_round_trip(self):
+        # What run_many ships to its pool workers.
+        plan = RunSpec(SPEC, ZEC12_CONFIG_2, scale=SCALE,
+                       sampling=SamplingPlan(), parallel=ParallelPlan(2),
+                       backend="serial")
+        shipped = pickle.loads(pickle.dumps(plan))
+        assert shipped == plan
+        assert shipped.fingerprint() == plan.fingerprint()
 
 
 class TestRunResult:

@@ -15,11 +15,9 @@ import os
 import pytest
 
 from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2
-from repro.engine.params import DEFAULT_TIMING
 from repro.experiments.common import (
     RunResult,
     load_cached_run,
-    run_fingerprint,
     run_workload,
     store_cached_run,
 )
@@ -113,9 +111,7 @@ class TestRunMany:
 
 class TestCacheRobustness:
     def _key(self):
-        from repro.engine.params import DEFAULT_TIMING
-
-        return run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING, SCALE)
+        return RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE).fingerprint()
 
     def test_corrupt_entry_is_resimulated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_CACHE", str(tmp_path))
@@ -273,7 +269,7 @@ class TestAuditedRuns:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_RESULTS_CACHE", str(tmp_path))
-        key = run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING, SCALE)
+        key = RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE).fingerprint()
         # Poison the cache: a plausible but wrong entry.  An unaudited run
         # would serve it; an audited run must re-simulate past it.
         bogus = RunResult(
@@ -290,7 +286,7 @@ class TestAuditedRuns:
 
     def test_env_var_enables_auditing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_CACHE", str(tmp_path))
-        key = run_fingerprint(SPEC, ZEC12_CONFIG_1, DEFAULT_TIMING, SCALE)
+        key = RunSpec(SPEC, ZEC12_CONFIG_1, scale=SCALE).fingerprint()
         bogus = RunResult(
             workload=SPEC.name, config=ZEC12_CONFIG_1.name, cpi=123.0,
             instructions=1, branches=1, outcome_fractions={},

@@ -17,7 +17,6 @@ from repro.audit.fuzz import build_trace
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.params import DEFAULT_TIMING
 from repro.engine.simulator import Simulator
-from repro.experiments.common import run_fingerprint
 from repro.experiments.pool import RunSpec
 from repro.predictors.registry import (
     DEFAULT_PREDICTOR,
@@ -103,16 +102,17 @@ class TestPaperStack:
 class TestRunFingerprints:
     def test_paper_keeps_the_historical_cache_key(self):
         spec = workload_by_name("TPF")
-        base = run_fingerprint(spec, ZEC12_CONFIG_2, DEFAULT_TIMING, 0.02)
-        explicit = run_fingerprint(spec, ZEC12_CONFIG_2, DEFAULT_TIMING,
-                                   0.02, predictor="paper")
+        base = RunSpec(spec, ZEC12_CONFIG_2, DEFAULT_TIMING,
+                       0.02).fingerprint()
+        explicit = RunSpec(spec, ZEC12_CONFIG_2, DEFAULT_TIMING, 0.02,
+                           predictor="paper").fingerprint()
         assert base == explicit
 
     def test_zoo_predictors_get_their_own_cache_slots(self):
         spec = workload_by_name("TPF")
         prints = {
-            run_fingerprint(spec, ZEC12_CONFIG_2, DEFAULT_TIMING, 0.02,
-                            predictor=name)
+            RunSpec(spec, ZEC12_CONFIG_2, DEFAULT_TIMING, 0.02,
+                    predictor=name).fingerprint()
             for name in predictor_names()
         }
         assert len(prints) == len(predictor_names())

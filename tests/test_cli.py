@@ -321,6 +321,16 @@ class TestPredictorCli:
         assert "tage / 2. BTB2 enabled" in out
         assert "CPI" in out
 
+    def test_simulate_zoo_writes_the_metrics_snapshot(self, tmp_path):
+        from repro.telemetry.metrics import validate_snapshot
+
+        target = tmp_path / "m.json"
+        assert main(["simulate", "target-aliasing", "--predictor", "tage",
+                     "--scale", "0.01", "--configs", "2",
+                     "--metrics", str(target)]) == 0
+        assert target.exists()
+        assert validate_snapshot(json.loads(target.read_text())) == []
+
     def test_simulate_zoo_compares_configs(self, capsys):
         assert main(["simulate", "target-aliasing", "--predictor", "ldbp",
                      "--scale", "0.001", "--configs", "1", "2"]) == 0
