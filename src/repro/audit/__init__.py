@@ -43,10 +43,12 @@ Usage::
 
 The ``REPRO_AUDIT`` environment variable (``1``/``true``/``on``) makes
 :func:`repro.experiments.common.run_workload` audit every simulation it
-performs — the CLI's ``--audit`` flag sets it, so any figure or the whole
-``run_all`` report can be re-executed under audit.  Audited runs bypass
-result-cache *reads* (a cache hit would skip the checks) but still publish
-their results, which are identical to unaudited ones.
+performs — the CLI's ``--audit`` flag sets it for the duration of the
+command (:func:`restored_environ` puts the caller's environment back), so
+any figure or the whole ``run_all`` report can be re-executed under
+audit.  Audited runs bypass result-cache *reads* (a cache hit would skip
+the checks) but still publish their results, which are identical to
+unaudited ones.
 
 The property-fuzz harness lives in :mod:`repro.audit.fuzz` (driven by
 ``scripts/fuzz_audit.py`` and ``tests/test_audit_fuzz.py``): seeded random
@@ -54,6 +56,18 @@ traces through every shipped configuration variant with all audits
 enabled, shrinking any failure to a minimal trace.
 """
 
-from repro.audit.auditor import AUDIT_ENV, Auditor, AuditViolation, audit_from_env
+from repro.audit.auditor import (
+    AUDIT_ENV,
+    Auditor,
+    AuditViolation,
+    audit_from_env,
+    restored_environ,
+)
 
-__all__ = ["AUDIT_ENV", "Auditor", "AuditViolation", "audit_from_env"]
+__all__ = [
+    "AUDIT_ENV",
+    "Auditor",
+    "AuditViolation",
+    "audit_from_env",
+    "restored_environ",
+]

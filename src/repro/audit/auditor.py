@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter, deque
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from repro.audit import invariants
 
@@ -41,6 +42,24 @@ AUDIT_ENV = "REPRO_AUDIT"
 def audit_from_env() -> bool:
     """True when ``REPRO_AUDIT`` asks for audited simulation runs."""
     return os.environ.get(AUDIT_ENV, "").strip().lower() in ("1", "true", "on")
+
+
+@contextmanager
+def restored_environ() -> Iterator[None]:
+    """Undo, on exit, every ``os.environ`` change made inside the block.
+
+    Commands export switches such as ``$REPRO_AUDIT`` so that pool workers
+    inherit them while the command runs; in a long-lived process (a test
+    session, a notebook) they must not outlive the command, whether it
+    returns or raises.
+    """
+    saved = dict(os.environ)
+    try:
+        yield
+    finally:
+        for name in set(os.environ) - set(saved):
+            del os.environ[name]
+        os.environ.update(saved)
 
 
 class AuditViolation(AssertionError):

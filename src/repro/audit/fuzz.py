@@ -177,24 +177,18 @@ def run_case(
 
 def shrink(
     trace: list[TraceRecord],
-    config: PredictorConfig,
-    timing: TimingParams = DEFAULT_TIMING,
-    fails: Callable[[list[TraceRecord]], bool] | None = None,
+    fails: Callable[[list[TraceRecord]], bool],
 ) -> list[TraceRecord]:
     """ddmin-style minimization: greedily delete chunks while still failing.
 
     Deleting any slice of records yields another valid trace (splice
     points become context switches), so plain chunked delta debugging
-    applies.  Complexity is O(n log n) audited re-runs on short traces.
+    applies.  Complexity is O(n log n) predicate runs on short traces.
 
-    ``fails`` overrides the failure predicate (default: an audited run of
-    the candidate under ``config``/``timing`` raises a violation).  The
-    differential oracle reuses the same minimizer with "the oracle still
-    diverges" as the predicate (:mod:`repro.oracle.differential`).
+    ``fails`` is the failure predicate: :func:`fuzz` passes "an audited
+    run raises a violation" (:func:`run_case`), the lockstep oracle "the
+    lockstep still diverges" (:func:`repro.oracle.shrink_divergence`).
     """
-    if fails is None:
-        def fails(candidate: list[TraceRecord]) -> bool:
-            return run_case(candidate, config, timing) is not None
     current = list(trace)
     chunk = max(1, len(current) // 2)
     while chunk >= 1:
@@ -239,9 +233,11 @@ def fuzz(
         violation = run_case(trace, config)
         if violation is None:
             continue
-        minimal = tuple(
-            shrink(trace, config) if shrink_failures else trace
-        )
+        minimal = tuple(trace)
+        if shrink_failures:
+            minimal = tuple(shrink(
+                trace,
+                lambda candidate: run_case(candidate, config) is not None))
         failures.append(
             FuzzFailure(
                 case=case,

@@ -37,18 +37,16 @@ Commands:
   the ASCII occupancy/rate timeline (optionally writing the CSV).
 * ``profile`` — run one workload with the per-branch profiler and print
   the top-K worst-offenders report.
-* ``verify`` — the conformance gate (:mod:`repro.oracle`): mutation drill
-  (prove the oracle catches a seeded LRU bug), lockstep differential runs
-  against the reference model on real workload traces, the golden
-  per-workload baseline under ``tests/golden/``, and the
-  checkpoint-parallel gate (every workload serial vs parallel, demanding
-  bit-identity); ``--update-golden`` regenerates the baseline after an
-  intended behavior change.  ``--predictor NAME...|all`` extends the gate
-  to the predictor zoo: the conformance battery
-  (:mod:`repro.predictors.conformance`), per-predictor lockstep against
-  independent reference models plus the zoo mutation drill
-  (:mod:`repro.predictors.differential`), and the per-predictor golden
-  baseline (``tests/golden/predictors.json``).
+* ``verify`` — the verification gates (:mod:`repro.oracle`), one sequence
+  for every predictor selected by ``--predictor NAME...|all`` (default:
+  ``paper``): the conformance battery
+  (:mod:`repro.predictors.conformance`), the mutation drill (prove each
+  lockstep oracle catches a seeded LRU bug), the lockstep slate against
+  the independent reference models, and the golden grid under
+  ``tests/golden/predictors.json``; then the checkpoint-parallel gate over
+  the paper stack (every workload serial vs parallel, demanding
+  bit-identity).  ``--update-golden`` regenerates the whole grid after an
+  intended behavior change.
 * ``ablation`` — run every registered predictor over a shared workload
   slate (commercial + adversarial) and print the comparison table
   (:mod:`repro.experiments.ablation`); ``--json`` writes the grid as the
@@ -67,7 +65,7 @@ import argparse
 import os
 import sys
 
-from repro.audit import AUDIT_ENV
+from repro.audit import AUDIT_ENV, restored_environ
 from repro.core.config import (
     PredictorConfig,
     TABLE3_CONFIGS,
@@ -224,6 +222,7 @@ def _export_aggregate(args, relay, key: str, multi: bool) -> None:
 def _cmd_simulate(args) -> int:
     from repro.experiments.common import RunSpec, execute_plan
     from repro.predictors.registry import predictor_info
+    from repro.telemetry.metrics import REGISTRY
 
     spec = workload_by_name(args.workload)
     info = predictor_info(args.predictor)
@@ -255,6 +254,9 @@ def _cmd_simulate(args) -> int:
         telemetry = _build_telemetry(args)
         relay = (_relay_for(args, spec, key, multi)
                  if plan.parallel is not None else None)
+        if args.metrics:
+            # Each snapshot describes its own run, counters included.
+            REGISTRY.reset()
         result, source = execute_plan(plan, telemetry=telemetry, relay=relay)
         sampled = source
         if plan.parallel is not None:
@@ -281,8 +283,6 @@ def _cmd_simulate(args) -> int:
             _export_telemetry(args, telemetry, key, multi,
                               skip_tracer=relay is not None)
         if args.metrics and relay is None:
-            from repro.telemetry.metrics import REGISTRY
-
             target = _suffixed(args.metrics, key, multi)
             REGISTRY.write_snapshot(target)
             print(f"wrote {len(REGISTRY.names())} metric(s) to {target}")
@@ -536,178 +536,98 @@ def _cmd_session(args) -> int:
     return 0
 
 
-def _verify_predictors(args, predictors: tuple[str, ...]) -> bool:
-    """The zoo legs of ``verify --predictor``; returns True on failure.
-
-    Three gates per selected registry entry: the conformance battery,
-    the lockstep differential oracle (zoo entries with a reference model,
-    plus the zoo mutation drill proving that oracle has teeth), and the
-    per-predictor golden baseline.
-    """
-    from pathlib import Path
-
-    from repro.predictors.conformance import (
-        CONFORMANCE_CHECKS,
-        conformance_problems,
-    )
-    from repro.predictors.differential import lockstep, lockstep_names
-    from repro.predictors.differential import (
-        mutation_drill as zoo_mutation_drill,
-    )
-    from repro.predictors.golden import (
-        compare_predictor_baseline,
-        load_baseline,
-    )
-
-    failed = False
-    for name in predictors:
-        problems = conformance_problems(name)
-        if problems:
-            for problem in problems:
-                print(f"conformance[{name}]: {problem}", file=sys.stderr)
-            failed = True
-        else:
-            print(f"conformance[{name}]: {len(CONFORMANCE_CHECKS)} "
-                  f"checks passed")
-
-    lockstepped = tuple(name for name in predictors
-                        if name in lockstep_names())
-    if not args.skip_mutation_drill and lockstepped:
-        problems = zoo_mutation_drill(names=lockstepped)
-        if problems:
-            for problem in problems:
-                print(f"zoo mutation drill: {problem}", file=sys.stderr)
-            failed = True
-        else:
-            print(f"zoo mutation drill: {len(lockstepped)} oracle(s) "
-                  f"caught the sabotaged LRU promotion")
-
-    if not args.skip_differential:
-        from repro.audit.fuzz import build_trace
-        from repro.workloads.adversarial import corpus_trace
-
-        for name in lockstepped:
-            for trace in (build_trace(11, 1200), corpus_trace(13, 600)):
-                result = lockstep(name, trace)
-                print(f"zoo differential: {result.report()}")
-                if result.diverged:
-                    failed = True
-
-    if not args.skip_golden:
-        baseline = load_baseline(Path(args.predictor_golden))
-        problems = compare_predictor_baseline(
-            baseline, jobs=args.jobs, predictors=predictors)
-        if problems:
-            for problem in problems:
-                print(f"predictor golden: {problem}", file=sys.stderr)
-            failed = True
-        else:
-            cells = sum(len(block) for name, block
-                        in baseline.get("predictors", {}).items()
-                        if name in predictors)
-            print(f"predictor golden baseline: {len(predictors)} "
-                  f"predictor(s), {cells} cell(s) within tolerance "
-                  f"(scale {baseline['scale']}, {args.predictor_golden})")
-    return failed
-
-
 def _cmd_verify(args) -> int:
     from pathlib import Path
 
-    from repro.oracle import mutation_drill, run_campaign
+    from repro.oracle import drill, run_campaign
     from repro.oracle.golden import (
-        build_baseline,
-        compare_baseline,
+        build,
+        compare,
         compare_parallel,
         load_baseline,
         write_baseline,
     )
-
-    predictors = None
-    if args.predictor:
-        from repro.predictors.registry import predictor_info, predictor_names
-
-        if "all" in args.predictor:
-            predictors = predictor_names()
-        else:
-            predictors = tuple(
-                predictor_info(name).name for name in args.predictor)
+    from repro.predictors.conformance import (
+        CONFORMANCE_CHECKS,
+        conformance_problems,
+    )
+    from repro.predictors.registry import predictor_info, predictor_names
 
     golden_path = Path(args.golden)
     if args.update_golden:
-        if predictors is not None:
-            from repro.predictors.golden import build_predictor_baseline
-
-            baseline = build_predictor_baseline(
-                scale=args.golden_scale, jobs=args.jobs)
-            write_baseline(Path(args.predictor_golden), baseline)
-            print(f"wrote predictor golden baseline: "
-                  f"{len(baseline['predictors'])} predictors at scale "
-                  f"{baseline['scale']} -> {args.predictor_golden}")
-            return 0
-        baseline = build_baseline(scale=args.golden_scale, jobs=args.jobs)
+        baseline = build(scale=args.golden_scale, jobs=args.jobs)
         write_baseline(golden_path, baseline)
-        print(f"wrote golden baseline: {len(baseline['workloads'])} "
-              f"workloads at scale {baseline['scale']} -> {golden_path}")
+        grid = baseline["predictors"]
+        print(f"wrote golden baseline: {len(grid)} predictors x "
+              f"{len(next(iter(grid.values()), {}))} workloads at scale "
+              f"{baseline['scale']} -> {golden_path}")
         return 0
 
-    failed = False
-    if not args.skip_mutation_drill:
-        drill = mutation_drill()
-        if drill is None:
-            print("mutation drill: FAILED — the seeded LRU mutation went "
-                  "undetected; the oracle is not checking what it claims",
-                  file=sys.stderr)
-            failed = True
-        else:
-            print("mutation drill: caught the seeded LRU mutation")
-            for line in drill.report().splitlines():
-                print(f"  {line}")
-
-    if not args.skip_differential:
-        for result in run_campaign(scale=args.scale, jobs=args.jobs):
-            print(f"differential: {result.report()}")
-            if result.diverged:
-                failed = True
-
+    predictors = (
+        predictor_names() if "all" in args.predictor
+        else tuple(predictor_info(name).name for name in args.predictor)
+    )
     workloads = (
         tuple(workload_by_name(name).name for name in args.workloads)
         if args.workloads else None
     )
+    failed = False
+
+    def gate(leg: str, name: str, problems: list[str], passed: str) -> None:
+        """Print one ``<leg>[<predictor>]`` result line (or its problems)."""
+        nonlocal failed
+        for problem in problems:
+            print(f"{leg}[{name}]: {problem}", file=sys.stderr)
+        if problems:
+            failed = True
+        else:
+            print(f"{leg}[{name}]: {passed}")
+
+    for name in predictors:
+        gate("conformance", name, conformance_problems(name),
+             f"{len(CONFORMANCE_CHECKS)} checks passed")
+
+    if not args.skip_mutation_drill:
+        problems, caught = drill(predictors)
+        for problem in problems:
+            print(f"mutation drill: {problem}", file=sys.stderr)
+        failed = failed or bool(problems)
+        for name, result in caught.items():
+            print(f"mutation drill[{name}]: caught the sabotaged LRU "
+                  f"promotion")
+            for line in result.report().splitlines():
+                print(f"  {line}")
+
+    if not args.skip_differential:
+        for case, result in run_campaign(predictors, scale=args.scale,
+                                         jobs=args.jobs):
+            print(f"lockstep[{case.predictor}]: {case.label()}: "
+                  f"{result.report()}",
+                  file=sys.stderr if result.diverged else sys.stdout)
+            failed = failed or result.diverged
+
     if not args.skip_golden:
         baseline = load_baseline(golden_path)
         engines = ENGINE_MODES if args.engine == "both" else (args.engine,)
-        for engine in engines:
-            problems = compare_baseline(baseline, jobs=args.jobs,
-                                        workloads=workloads,
-                                        engine_mode=engine)
-            if problems:
-                for problem in problems:
-                    print(f"golden[{engine}]: {problem}", file=sys.stderr)
-                failed = True
-            else:
-                checked = (len(baseline["workloads"])
-                           if workloads is None else len(workloads))
-                print(f"golden baseline[{engine}]: {checked} workload(s) "
-                      f"within tolerance (scale {baseline['scale']}, "
-                      f"{golden_path})")
+        for name in predictors:
+            cells = [workload
+                     for workload in baseline["predictors"].get(name, ())
+                     if workloads is None or workload in workloads]
+            for engine in engines:
+                gate("golden", name,
+                     compare(baseline, jobs=args.jobs, predictors=(name,),
+                             workloads=workloads, engine_mode=engine),
+                     f"{len(cells)} cell(s) within tolerance, {engine} "
+                     f"engine (scale {baseline['scale']}, {golden_path})")
 
     if not args.skip_parallel:
-        problems = compare_parallel(jobs=args.jobs, workloads=workloads,
-                                    intervals=args.parallel_intervals,
-                                    backend=args.backend)
-        if problems:
-            for problem in problems:
-                print(f"parallel: {problem}", file=sys.stderr)
-            failed = True
-        else:
-            checked = len(workloads) if workloads else len(TABLE4_WORKLOADS)
-            print(f"parallel gate: {checked} workload(s) bit-identical "
-                  f"serial vs {args.parallel_intervals} checkpoint-parallel "
-                  f"slices")
-
-    if predictors is not None:
-        failed = _verify_predictors(args, predictors) or failed
+        checked = len(workloads) if workloads else len(TABLE4_WORKLOADS)
+        gate("parallel", "paper",
+             compare_parallel(jobs=args.jobs, workloads=workloads,
+                              intervals=args.parallel_intervals,
+                              backend=args.backend),
+             f"{checked} workload(s) bit-identical serial vs "
+             f"{args.parallel_intervals} checkpoint-parallel slices")
 
     if failed:
         print("verify: FAILED", file=sys.stderr)
@@ -791,7 +711,8 @@ def _apply_audit_env(args) -> None:
 
     The env var (not a threaded flag) is what reaches ``run_workload`` in
     this process *and* in any pool worker, so one switch audits every
-    simulation a figure or report performs.
+    simulation a figure or report performs.  :func:`main` restores the
+    caller's environment when the command ends.
     """
     if getattr(args, "audit", False):
         os.environ[AUDIT_ENV] = "1"
@@ -1076,21 +997,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_audit_argument(profile)
 
     verify = sub.add_parser(
-        "verify", help="conformance gate: mutation drill, differential "
-                       "oracle, golden baseline"
+        "verify", help="verification gates: conformance battery, mutation "
+                       "drill, lockstep oracle, golden grid, parallel gate"
     )
     verify.add_argument(
         "--scale", type=float, default=0.01,
-        help="workload scale for the differential campaign (default: 0.01)",
+        help="catalog workload scale of the lockstep slate (default: 0.01)",
     )
     verify.add_argument(
-        "--golden", metavar="PATH", default="tests/golden/workloads.json",
-        help="golden baseline file (default: tests/golden/workloads.json)",
+        "--golden", metavar="PATH", default="tests/golden/predictors.json",
+        help="golden grid file (default: tests/golden/predictors.json)",
     )
     verify.add_argument(
         "--update-golden", action="store_true",
-        help="re-measure every workload and rewrite the golden baseline "
-             "instead of checking against it",
+        help="re-measure every (predictor, workload) cell and rewrite the "
+             "whole golden grid instead of checking against it",
     )
     verify.add_argument(
         "--golden-scale", type=float, default=0.02,
@@ -1098,31 +1019,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--workloads", nargs="+", metavar="NAME", default=None,
-        help="restrict the golden gate to these workloads "
+        help="restrict every selected predictor's golden cells and the "
+             "parallel gate to these workloads "
              "(substring match; default: all recorded)",
     )
     verify.add_argument(
         "--engine", choices=(*ENGINE_MODES, "both"), default="both",
         help="engine(s) the golden gate re-measures with; 'both' doubles "
              "as the engine bit-identity check (default: both; the "
-             "differential campaign always uses the object engine — the "
+             "lockstep slate always uses the object engine — the "
              "lockstep probe needs per-record hooks)",
     )
     verify.add_argument(
         "--skip-differential", action="store_true",
-        help="skip the lockstep differential campaign",
+        help="skip the lockstep slate",
     )
     verify.add_argument(
         "--skip-golden", action="store_true",
-        help="skip the golden-baseline gate",
+        help="skip the golden-grid gate",
     )
     verify.add_argument(
         "--skip-mutation-drill", action="store_true",
-        help="skip the seeded-mutation self-check of the oracle",
+        help="skip the seeded-mutation self-check of the oracles",
     )
     verify.add_argument(
         "--skip-parallel", action="store_true",
-        help="skip the serial-vs-checkpoint-parallel bit-identity gate",
+        help="skip the serial-vs-checkpoint-parallel bit-identity gate "
+             "(paper stack only)",
     )
     verify.add_argument(
         "--parallel-intervals", type=int, default=4, metavar="K",
@@ -1135,18 +1058,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: $REPRO_BACKEND or process)",
     )
     verify.add_argument(
-        "--predictor", nargs="+", metavar="NAME", default=None,
-        help="extend the gate to these predictor-zoo registry entries "
-             "('all' = the whole registry): conformance battery, "
-             "zoo lockstep + mutation drill, per-predictor golden "
-             "baseline; with --update-golden, regenerates the predictor "
-             "baseline instead of the workload one",
-    )
-    verify.add_argument(
-        "--predictor-golden", metavar="PATH",
-        default="tests/golden/predictors.json",
-        help="per-predictor golden baseline file "
-             "(default: tests/golden/predictors.json)",
+        "--predictor", nargs="+", metavar="NAME",
+        default=["paper"],
+        help="registry entries to verify ('all' = the whole registry; "
+             "default: paper): conformance battery, mutation drill, "
+             "lockstep slate and golden cells for each",
     )
     _add_jobs_argument(verify)
 
@@ -1180,7 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_audit_env(args)
     handlers = {
         "workloads": _cmd_workloads,
         "simulate": _cmd_simulate,
@@ -1196,7 +1111,9 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "ablation": _cmd_ablation,
     }
-    return handlers[args.command](args)
+    with restored_environ():
+        _apply_audit_env(args)
+        return handlers[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -60,8 +60,8 @@ from repro.workloads.catalog import TABLE4_WORKLOADS, WorkloadSpec, default_scal
 #: (``off``/``none``/empty disables caching entirely).
 RESULTS_CACHE_ENV = "REPRO_RESULTS_CACHE"
 
-#: Per-process relay-session slice counter: each ``run_workload`` call
-#: under an active relay gets its own (worker, slice) shard, and worker
+#: Per-process relay-session slice counter: each serial or sampled plan
+#: executed with a relay gets its own (worker, slice) shard, and worker
 #: names differ per process, so fork-inherited counter values cannot
 #: collide across processes.
 _RELAY_SLICES = itertools.count()
@@ -362,11 +362,52 @@ def execute_plan(
     full-detail run), for callers that record provenance or print it.
 
     The observers are wiring, not plan: ``telemetry`` watches the run (the
-    orchestrator of a parallel one), ``relay`` carries the parallel
-    workers' telemetry home, and ``status_label`` names their status-board
-    entries.  An audited plan gets a fresh strict auditor.
+    orchestrator of a parallel one), ``relay`` carries telemetry home —
+    each parallel slice's from its worker, and a serial or sampled run's
+    through a per-(process, run) shard that replaces ``telemetry`` — and
+    ``status_label`` names the parallel workers' status-board entries.  An
+    audited plan gets a fresh strict auditor.
+
+    Every executed plan is counted once (``repro_runs_total{result=
+    "simulated"}``, instructions, branches, ``repro_run_seconds``): in its
+    relay shard's registry when it has one, so aggregation never
+    double-counts, and in the process-local ``REGISTRY`` otherwise.
     """
     plan.validate()
+    session = None
+    if relay is not None and plan.parallel is None:
+        session = relay.worker_session(
+            multiprocessing.current_process().name, next(_RELAY_SLICES))
+        telemetry = session.telemetry
+    started = time.perf_counter()
+    try:
+        result, source = _execute(plan, telemetry, relay, status_label)
+        registry = session.registry if session is not None else REGISTRY
+        registry.counter(
+            "repro_runs_total", "workload runs by result", ("result",),
+        ).inc(result="simulated")
+        registry.counter(
+            "repro_run_instructions_total", "instructions simulated by runs",
+        ).inc(result.counters.instructions)
+        registry.counter(
+            "repro_run_branches_total", "branches simulated by runs",
+        ).inc(result.counters.branches)
+        registry.histogram(
+            "repro_run_seconds", "wall seconds per simulated run",
+        ).observe(time.perf_counter() - started)
+    finally:
+        if session is not None:
+            session.close()
+    return result, source
+
+
+def _execute(
+    plan: RunSpec,
+    telemetry: Telemetry | None,
+    relay: TelemetryRelay | None,
+    status_label: str | None,
+) -> tuple[SimulationResult, SampledResult | ParallelResult | None]:
+    """The dispatch of :func:`execute_plan`: parallel, sampled or full."""
     scale = plan.resolved_scale()
     store = (CheckpointStore(plan.checkpoint_dir)
              if plan.checkpoint_dir is not None else None)
@@ -406,8 +447,10 @@ def run_plan(plan: RunSpec) -> RunResult:
     A refused plan raises before the cache is read.  A hit is served
     without simulating, unless the plan is audited: a hit would skip the
     checks, so audited runs only publish their result, which equals an
-    unaudited run's.  Every run is counted in the metrics registry and
-    heartbeats on the status board (``$REPRO_STATUS``).
+    unaudited run's.  Every run is counted in the metrics registry (a hit
+    as ``cached``, a miss by :func:`execute_plan`) and heartbeats on the
+    status board (``$REPRO_STATUS``).  With a relay active
+    (``$REPRO_RELAY``), the run's telemetry and metrics go home through it.
     """
     plan.validate()
     key = plan.fingerprint()
@@ -425,29 +468,13 @@ def run_plan(plan: RunSpec) -> RunResult:
                            seconds=cached.wall_seconds)
             return cached
 
-    # With a relay active ($REPRO_RELAY), serial and sampled runs stream
-    # their telemetry into a per-(process, run) shard; parallel runs hand
-    # the relay down so each slice gets its own worker shard instead.
-    # Metrics for the run land in the session registry when one is open
-    # (relayed home at close) and in the process-local REGISTRY otherwise
-    # — exactly one of the two, so aggregation never double-counts.
-    relay = TelemetryRelay.from_env()
-    session = None
-    telemetry = None
-    if relay is not None and plan.parallel is None:
-        session = relay.worker_session(
-            multiprocessing.current_process().name, next(_RELAY_SLICES))
-        telemetry = session.telemetry
     if board is not None:
         board.beat(label, "measuring")
-
     started = time.perf_counter()
     try:
-        result, source = execute_plan(plan, telemetry=telemetry, relay=relay,
-                                      status_label=label)
+        result, source = execute_plan(
+            plan, relay=TelemetryRelay.from_env(), status_label=label)
     except BaseException:
-        if session is not None:
-            session.close()
         if board is not None:
             board.beat(label, "failed")
         raise
@@ -471,21 +498,6 @@ def run_plan(plan: RunSpec) -> RunResult:
         wall_seconds=elapsed,
         worker=multiprocessing.current_process().name,
     )
-    registry = session.registry if session is not None else REGISTRY
-    registry.counter(
-        "repro_runs_total", "workload runs by result", ("result",),
-    ).inc(result="simulated")
-    registry.counter(
-        "repro_run_instructions_total", "instructions simulated by runs",
-    ).inc(run.instructions)
-    registry.counter(
-        "repro_run_branches_total", "branches simulated by runs",
-    ).inc(run.branches)
-    registry.histogram(
-        "repro_run_seconds", "wall seconds per simulated run",
-    ).observe(elapsed)
-    if session is not None:
-        session.close()
     if board is not None:
         board.beat(label, "done", instructions=run.instructions,
                    seconds=elapsed)

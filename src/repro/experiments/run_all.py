@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from repro.audit import AUDIT_ENV
+from repro.audit import AUDIT_ENV, restored_environ
 from repro.core.events import OutcomeKind
 from repro.experiments import figure2, figure3, figure4, figure5, figure6, figure7
 from repro.experiments.pool import session_log
@@ -252,27 +252,30 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.audit:
-        os.environ[AUDIT_ENV] = "1"
-    board = None
-    if args.progress is not None:
-        status_path = args.progress or f"{args.output}.status.jsonl"
-        try:  # a fresh board per report: stale beats would skew the fold
-            os.remove(status_path)
-        except OSError:
-            pass
-        board = StatusBoard(status_path)
-        board.activate()
-        print(f"status board: {status_path} (watch with: "
-              f"repro top --status {status_path})")
-    report = build_report(args.scale, args.sweep_scale, jobs=args.jobs)
-    with open(args.output, "w") as stream:
-        stream.write(report)
-    if board is not None:
-        state = read_board(board.path)
-        if state is not None:
-            print(render_summary(state))
-    print(f"wrote {args.output}")
+    # The exported switches reach pool workers while the report runs and
+    # are withdrawn when it ends.
+    with restored_environ():
+        if args.audit:
+            os.environ[AUDIT_ENV] = "1"
+        board = None
+        if args.progress is not None:
+            status_path = args.progress or f"{args.output}.status.jsonl"
+            try:  # a fresh board per report: stale beats would skew the fold
+                os.remove(status_path)
+            except OSError:
+                pass
+            board = StatusBoard(status_path)
+            board.activate()
+            print(f"status board: {status_path} (watch with: "
+                  f"repro top --status {status_path})")
+        report = build_report(args.scale, args.sweep_scale, jobs=args.jobs)
+        with open(args.output, "w") as stream:
+            stream.write(report)
+        if board is not None:
+            state = read_board(board.path)
+            if state is not None:
+                print(render_summary(state))
+        print(f"wrote {args.output}")
     return 0
 
 

@@ -1,39 +1,51 @@
-"""Lockstep differential testing of the production engine.
+"""The lockstep oracle: every registered predictor against its reference.
 
-The production :class:`~repro.engine.simulator.Simulator` exposes optional
-``probe`` observers on its three semantic actors (the simulator itself, the
-lookahead searcher, the transfer engine).  :class:`DifferentialRunner`
-attaches one probe to all three, replays every semantic event — row probe
-and prediction, move protocol, surprise guess and install, training,
-bulk-transfer row delivery — against an independent
-:class:`~repro.oracle.reference.ReferencePredictor`, and raises on the
-*first* output or state divergence, reporting the cycle, branch address and
-the structure that disagreed.
+:func:`lockstep` builds the production model of any registry name with
+:func:`~repro.predictors.registry.create_predictor`, steps it beside an
+independently written reference model, and stops at the *first*
+disagreement, reporting the record, branch address and structure (and,
+for the paper stack, the search-pipeline cycle).  :data:`ORACLES` holds
+the comparison per registry name:
 
-The comparison layers, cheapest first:
+* ``"paper"`` — the event-level probe.  The production
+  :class:`~repro.engine.simulator.Simulator` exposes optional ``probe``
+  observers on its three semantic actors (the simulator itself, the
+  lookahead searcher, the transfer engine); :class:`_Probe` replays every
+  semantic event — row probe and prediction, move protocol, surprise guess
+  and install, training, bulk-transfer row delivery — against
+  :class:`~repro.oracle.reference.ReferencePredictor`.  The comparison
+  layers, cheapest first: per-event outputs (predicted direction/target/
+  level/MRU, replacement victims, surprise guesses, outcome taxonomy,
+  delivered transfer rows); the resolved branch's BTB1/BTBP rows in exact
+  replacement order after every branch; and a dict-walk diff of the
+  complete production snapshot every :data:`FULL_COMPARE_INTERVAL`
+  branches and at the end of the run.
+* every zoo member — the per-branch comparison against its reference in
+  :mod:`repro.oracle.zoo_reference`: predicted direction, predicted
+  target, outcome class and charged penalty, then the final counters and
+  the reconstructed clock.
 
-* **per-event outputs** — predicted direction/target/level/MRU, replacement
-  victims, surprise guesses, outcome taxonomy, delivered transfer rows;
-* **per-branch row state** — the resolved branch's BTB1/BTBP row contents
-  in exact replacement order, so LRU bugs surface on the branch that
-  exposes them;
-* **periodic + final full state** — a dict-walk diff of the complete
-  production snapshot (every table, every counter) against the reference
-  model's production-schema snapshot.
-
-A diverging trace is minimized with the ddmin shrinker shared with the
-property-fuzz harness (:func:`repro.audit.fuzz.shrink`), using "a fresh
-differential run still diverges" as the failure predicate.
+On top of :func:`lockstep` sits the rest of the toolkit, the same for every
+predictor: :func:`shrink_divergence` (the fuzz harness's ddmin shrinker,
+:func:`repro.audit.fuzz.shrink`, with "the lockstep still diverges" as
+the predicate), :func:`mutation_drill` (proof that every oracle catches a
+sabotaged LRU promotion), and :func:`run_campaign` (the lockstep slate
+``repro verify`` runs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from repro.audit.fuzz import FUZZ_CONFIGS, build_trace, shrink
-from repro.core.config import PredictorConfig, TABLE3_CONFIGS
+from repro.core.config import PredictorConfig, TABLE3_CONFIGS, ZEC12_CONFIG_2
 from repro.core.events import OutcomeKind, Prediction
 from repro.engine.params import DEFAULT_TIMING, TimingParams
+from repro.engine.predictor import Predictor
 from repro.engine.simulator import Simulator
 from repro.oracle.reference import (
     GOOD_DYNAMIC,
@@ -45,37 +57,44 @@ from repro.oracle.reference import (
     RefEntry,
     RefResolution,
 )
+from repro.oracle.zoo_reference import ZOO_REFERENCES
+from repro.predictors.registry import create_predictor, predictor_names
 from repro.trace.record import TraceRecord
+from repro.workloads.adversarial import corpus_trace
 
-#: Branches between full-state snapshot comparisons.  Row-level compares
-#: run on every branch; the full dict walk is O(occupancy) and amortized.
-DEFAULT_COMPARE_INTERVAL = 256
+#: Branches between full-state snapshot comparisons of the paper stack.
+#: Row-level compares run on every branch; the full dict walk is
+#: O(occupancy) and amortized.
+FULL_COMPARE_INTERVAL = 256
 
 
 @dataclass(frozen=True)
 class Divergence:
-    """First disagreement between the engine and the reference model."""
+    """First disagreement between a production model and its reference."""
 
+    #: Index of the trace record being resolved when the divergence fired
+    #: (the trace length for end-of-run comparisons).
+    record_index: int
+    #: Branch address involved (``None`` for end-of-run comparisons).
+    branch_address: int | None
     #: The structure (or comparison layer) that disagreed, e.g. ``"BTB1
-    #: row"``, ``"surprise BHT"``, ``"hierarchy.fit.table"``.
+    #: row"``, ``"hierarchy.fit.table"``, ``"taken"``, ``"final cycles"``.
     structure: str
     #: Human-readable engine-vs-reference detail.
     detail: str
-    #: Index of the trace record being resolved when the divergence fired.
-    record_index: int
-    #: Branch address involved (``None`` for end-of-run state diffs).
-    branch_address: int | None
-    #: Production search-pipeline cycle at the divergence.
-    cycle: int
+    #: Production search-pipeline cycle (``None`` for the zoo, which has
+    #: no search clock).
+    cycle: int | None = None
 
     def report(self) -> str:
         address = (
             f"0x{self.branch_address:x}"
             if self.branch_address is not None else "<end of run>"
         )
+        cycle = f", cycle {self.cycle}" if self.cycle is not None else ""
         return (
-            f"divergence at record {self.record_index}, branch {address}, "
-            f"cycle {self.cycle}: structure '{self.structure}'\n"
+            f"divergence at record {self.record_index}, branch {address}"
+            f"{cycle}: structure '{self.structure}'\n"
             f"  {self.detail}"
         )
 
@@ -88,29 +107,29 @@ class DivergenceError(Exception):
         self.divergence = divergence
 
 
-@dataclass
-class DifferentialResult:
-    """Outcome of one differential run."""
+@dataclass(frozen=True)
+class LockstepResult:
+    """Outcome of one lockstep run of a registered predictor."""
 
-    config_name: str
+    predictor: str
+    config: str
     records: int
     branches: int
-    diverged: bool
-    divergence: Divergence | None = None
+    divergence: Divergence | None
     #: Comparison volume, for "the oracle actually checked things" asserts.
-    events_compared: int = 0
-    full_compares: int = 0
+    events_compared: int
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
     def report(self) -> str:
-        if not self.diverged:
-            return (
-                f"no divergence: {self.records} records, {self.branches} "
-                f"branches, {self.events_compared} events compared, "
-                f"{self.full_compares} full-state compares "
-                f"[{self.config_name}]"
-            )
-        assert self.divergence is not None
-        return self.divergence.report()
+        if self.divergence is not None:
+            return self.divergence.report()
+        return (
+            f"no divergence: {self.records} records, {self.branches} "
+            f"branches, {self.events_compared} events compared"
+        )
 
 
 def _diff_state(production, reference, path: str = "") -> tuple[str, str] | None:
@@ -155,18 +174,12 @@ class _Probe:
     hooks raise :class:`DivergenceError` on the first disagreement.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        oracle: ReferencePredictor,
-        compare_interval: int,
-    ) -> None:
+    def __init__(self, simulator: Simulator,
+                 oracle: ReferencePredictor) -> None:
         self.simulator = simulator
         self.oracle = oracle
-        self.compare_interval = compare_interval
         self.record_index = 0
         self.events_compared = 0
-        self.full_compares = 0
         #: Prediction in flight between ``on_predict`` and its resolution.
         self._pending: tuple[RefEntry, RefResolution] | None = None
         self._surprise_outcome: str | None = None
@@ -177,10 +190,10 @@ class _Probe:
               branch_address: int | None) -> None:
         raise DivergenceError(
             Divergence(
-                structure=structure,
-                detail=detail,
                 record_index=self.record_index,
                 branch_address=branch_address,
+                structure=structure,
+                detail=detail,
                 cycle=self.simulator.search.cycle,
             )
         )
@@ -207,7 +220,7 @@ class _Probe:
 
     def compare_full_state(self, branch_address: int | None = None) -> None:
         """Dict-walk diff of complete production vs reference snapshots."""
-        self.full_compares += 1
+        self.events_compared += 1
         found = _diff_state(self._production_state(), self.oracle.state_dict())
         if found is not None:
             structure, detail = found
@@ -248,10 +261,7 @@ class _Probe:
                 for entry in self.oracle.btbp.mru_first(record.address)
             ]
             self._check("BTBP row", engine_row, reference_row, record.address)
-        if (
-            self.compare_interval
-            and self.oracle.branches % self.compare_interval == 0
-        ):
+        if self.oracle.branches % FULL_COMPARE_INTERVAL == 0:
             self.compare_full_state(record.address)
 
     # -- search-side hooks ----------------------------------------------------
@@ -406,139 +416,315 @@ class _Probe:
         )
 
 
-class DifferentialRunner:
-    """Run the production simulator and the reference model in lockstep."""
+#: A comparison: ``(production, records, config, timing) -> (branches,
+#: events compared, first divergence or None)``.
+Comparison = Callable[
+    [Predictor, list[TraceRecord], PredictorConfig, TimingParams],
+    tuple[int, int, Divergence | None],
+]
 
-    def __init__(
-        self,
-        config: PredictorConfig,
-        timing: TimingParams = DEFAULT_TIMING,
-        compare_interval: int = DEFAULT_COMPARE_INTERVAL,
-    ) -> None:
-        self.config = config
-        self.timing = timing
-        self.compare_interval = compare_interval
 
-    def run(self, records: list[TraceRecord]) -> DifferentialResult:
-        """Differentially simulate ``records``; stop at first divergence."""
-        simulator = Simulator(config=self.config, timing=self.timing)
-        oracle = ReferencePredictor(self.config)
-        probe = _Probe(simulator, oracle, self.compare_interval)
-        simulator.probe = probe
-        simulator.search.probe = probe
-        if simulator.preload is not None:
-            simulator.preload.transfer.probe = probe
-        divergence: Divergence | None = None
-        try:
-            for index, record in enumerate(records):
-                probe.record_index = index
-                simulator.step(record)
-            probe.record_index = len(records)
-            simulator.finish()
-            probe.compare_full_state()
-            probe.compare_final_counters()
-        except DivergenceError as error:
-            divergence = error.divergence
-        return DifferentialResult(
-            config_name=self.config.name,
-            records=len(records),
-            branches=oracle.branches,
-            diverged=divergence is not None,
-            divergence=divergence,
-            events_compared=probe.events_compared,
-            full_compares=probe.full_compares,
-        )
+def _probe_lockstep(
+    simulator: Simulator,
+    records: list[TraceRecord],
+    config: PredictorConfig,
+    timing: TimingParams,
+) -> tuple[int, int, Divergence | None]:
+    """The paper stack's event-level comparison (see :class:`_Probe`)."""
+    oracle = ReferencePredictor(config)
+    probe = _Probe(simulator, oracle)
+    simulator.probe = probe
+    simulator.search.probe = probe
+    if simulator.preload is not None:
+        simulator.preload.transfer.probe = probe
+    divergence: Divergence | None = None
+    try:
+        for index, record in enumerate(records):
+            probe.record_index = index
+            simulator.step(record)
+        probe.record_index = len(records)
+        simulator.finish()
+        probe.compare_full_state()
+        probe.compare_final_counters()
+    except DivergenceError as error:
+        divergence = error.divergence
+    return oracle.branches, probe.events_compared, divergence
+
+
+def _branch_lockstep(
+    reference_factory: Callable,
+    production: Predictor,
+    records: list[TraceRecord],
+    config: PredictorConfig,
+    timing: TimingParams,
+) -> tuple[int, int, Divergence | None]:
+    """A zoo member's per-branch comparison against its reference model.
+
+    Compares, per branch: predicted direction, predicted target, outcome
+    class, and charged penalty; after a clean run, the final counters
+    (including the reconstructed clock, to float tolerance).
+    """
+    reference = reference_factory(config, timing)
+    observed: list[tuple] = []
+
+    def probe(record, prediction, kind, penalty) -> None:
+        observed.append((
+            None if prediction is None else prediction.taken,
+            None if prediction is None else prediction.target,
+            kind.value, penalty))
+
+    def mismatch(index, address, field, got, want) -> Divergence:
+        return Divergence(index, address, field,
+                          f"engine {got!r} != reference {want!r}")
+
+    production.probe = probe
+    branches = events = 0
+    for index, record in enumerate(records):
+        observed.clear()
+        production.step(record)
+        expected = reference.step(record)
+        if expected is None:
+            continue
+        branches += 1
+        actual = observed[0] if observed else ("<no probe>",) * 4
+        for field, got, want in zip(
+                ("taken", "target", "outcome", "penalty"), actual, expected):
+            events += 1
+            if got != want:
+                return branches, events, mismatch(
+                    index, record.address, field, got, want)
+
+    counters = production.finish().counters
+    final = reference.final_counters()
+    for field, got, want in (
+        ("instructions", counters.instructions, final["instructions"]),
+        ("branches", counters.branches, final["branches"]),
+        ("taken_branches", counters.taken_branches, final["taken"]),
+        ("context_switches", counters.context_switches,
+         final["context_switches"]),
+        ("outcomes", {kind.value: count
+                      for kind, count in counters.outcomes.items()},
+         final["outcomes"]),
+    ):
+        events += 1
+        if got != want:
+            return branches, events, mismatch(
+                len(records), None, f"final {field}", got, want)
+    events += 1
+    if not math.isclose(counters.cycles, reference.cycle,
+                        rel_tol=1e-9, abs_tol=1e-9):
+        return branches, events, mismatch(
+            len(records), None, "final cycles", counters.cycles,
+            reference.cycle)
+    return branches, events, None
+
+
+#: The lockstep comparison of every registry name.  A registered
+#: predictor without an entry here has no oracle, which the test suite
+#: refuses.
+ORACLES: dict[str, Comparison] = {
+    "paper": _probe_lockstep,
+    **{
+        name: partial(_branch_lockstep, reference)
+        for name, reference in ZOO_REFERENCES.items()
+    },
+}
+
+
+def lockstep(
+    name: str,
+    records: Sequence[TraceRecord],
+    config: PredictorConfig = ZEC12_CONFIG_2,
+    timing: TimingParams = DEFAULT_TIMING,
+) -> LockstepResult:
+    """Run predictor ``name`` and its reference in lockstep over ``records``.
+
+    Stops at the first divergence.  The production model comes from
+    :func:`~repro.predictors.registry.create_predictor` (object engine, no
+    auditor), exactly as every experiment builds it.
+    """
+    try:
+        compare = ORACLES[name]
+    except KeyError:
+        raise ValueError(
+            f"no reference model for predictor {name!r}; oracles: "
+            f"{', '.join(sorted(ORACLES))}") from None
+    records = list(records)
+    production = create_predictor(name, config=config, timing=timing)
+    branches, events, divergence = compare(
+        production, records, config, timing)
+    return LockstepResult(
+        predictor=name, config=config.name, records=len(records),
+        branches=branches, divergence=divergence, events_compared=events,
+    )
 
 
 def shrink_divergence(
-    trace: list[TraceRecord],
-    config: PredictorConfig,
+    name: str,
+    records: Sequence[TraceRecord],
+    config: PredictorConfig = ZEC12_CONFIG_2,
     timing: TimingParams = DEFAULT_TIMING,
 ) -> list[TraceRecord]:
-    """ddmin-minimize a diverging trace (shared shrinker, oracle predicate)."""
+    """ddmin a diverging trace to a minimal still-diverging one."""
+    return shrink(
+        list(records),
+        lambda candidate: lockstep(name, candidate, config, timing).diverged,
+    )
 
-    def still_diverges(candidate: list[TraceRecord]) -> bool:
-        return DifferentialRunner(config, timing).run(candidate).diverged
 
-    return shrink(trace, config, timing, fails=still_diverges)
+# -- the mutation drill ------------------------------------------------------
+
+#: Geometry of the mutation drill, the same for every predictor: the fuzz
+#: harness's small hierarchy, whose eviction pressure makes
+#: replacement-order bugs observable within a short trace.
+DRILL_CONFIG = FUZZ_CONFIGS["small baseline"]
 
 
-#: Default differential campaign: one workload per Table 3 configuration,
-#: spanning BTB2-less, full-hierarchy, and big-BTB1 geometries.
-DEFAULT_CAMPAIGN_PAIRS: tuple[tuple[str, str], ...] = (
+def _drill_traces() -> list[list[TraceRecord]]:
+    """The drill's eight seeded random traces of 400 records."""
+    return [build_trace((7 << 20) ^ case, 400) for case in range(8)]
+
+
+@contextmanager
+def _sabotaged_lru() -> Iterator[None]:
+    """Break every production LRU promotion at once; restore on exit.
+
+    A used BTB prediction *demotes* its entry instead of refreshing it (an
+    inverted-touch bug in the paper stack), and the zoo's set-associative
+    tables stop promoting on hits.  The reference models keep their own
+    structures, so only the production side is wrong.
+    """
+    from repro.btb.storage import BranchTargetBuffer
+    from repro.predictors.base import SetAssociativeTable
+
+    btb_touch = BranchTargetBuffer.touch
+    table_touch = SetAssociativeTable.touch
+    BranchTargetBuffer.touch = BranchTargetBuffer.demote
+    SetAssociativeTable.touch = lambda self, address: None
+    try:
+        yield
+    finally:
+        BranchTargetBuffer.touch = btb_touch
+        SetAssociativeTable.touch = table_touch
+
+
+def drill(
+    names: Sequence[str] | None = None,
+) -> tuple[list[str], dict[str, LockstepResult]]:
+    """The mutation drill, with its evidence: ``(problems, caught)``.
+
+    A clean leg first: every selected oracle (default: the whole
+    registry) must run clean on the drill traces under
+    :data:`DRILL_CONFIG`.  Then every production LRU promotion is
+    sabotaged at once (:func:`_sabotaged_lru`) and every oracle must
+    diverge on at least one drill trace.  ``caught`` maps each predictor
+    whose oracle noticed to its first diverging run; ``problems`` names
+    every oracle that diverged before the sabotage or missed it.
+    """
+    names = predictor_names() if names is None else tuple(names)
+    traces = _drill_traces()
+    problems: list[str] = []
+    for name in names:
+        for trace in traces:
+            clean = lockstep(name, trace, DRILL_CONFIG)
+            if clean.diverged:
+                problems.append(
+                    f"{name}: lockstep diverged before sabotage — "
+                    f"{clean.report()}")
+                break
+    caught: dict[str, LockstepResult] = {}
+    with _sabotaged_lru():
+        for name in names:
+            for trace in traces:
+                result = lockstep(name, trace, DRILL_CONFIG)
+                if result.diverged:
+                    caught[name] = result
+                    break
+            else:
+                problems.append(
+                    f"{name}: oracle missed the sabotaged LRU promotion "
+                    f"({len(traces)} traces in lockstep)")
+    return problems, caught
+
+
+def mutation_drill(names: Sequence[str] | None = None) -> list[str]:
+    """Prove the oracles catch a seeded LRU mutation (see :func:`drill`).
+
+    Returns the problems: an empty list means every selected oracle ran
+    clean before the sabotage and caught it after.
+    """
+    return drill(names)[0]
+
+
+# -- the lockstep slate ------------------------------------------------------
+
+#: Fixed synthetic traces of the slate, by the call that builds them.
+_SYNTHETIC_TRACES: dict[str, Callable[[], list[TraceRecord]]] = {
+    "build_trace(11, 1200)": lambda: build_trace(11, 1200),
+    "corpus_trace(13, 600)": lambda: corpus_trace(13, 600),
+}
+
+#: The lockstep slate every selected predictor runs over, as (trace,
+#: config) pairs: one catalog workload per Table 3 configuration
+#: (BTB2-less, full hierarchy, big BTB1) at the campaign scale, then a
+#: random program walk and an adversarial BTB-probe window on config 2.
+LOCKSTEP_SLATE: tuple[tuple[str, str], ...] = (
     ("TPF airline reservations", TABLE3_CONFIGS[0].name),
     ("Z/OS DayTrader DBServ", TABLE3_CONFIGS[1].name),
     ("zLinux Informix", TABLE3_CONFIGS[2].name),
+    ("build_trace(11, 1200)", ZEC12_CONFIG_2.name),
+    ("corpus_trace(13, 600)", ZEC12_CONFIG_2.name),
 )
 
 
 @dataclass(frozen=True)
-class CampaignCase:
-    """One (workload, config) differential run specification."""
+class LockstepCase:
+    """One (predictor, trace, config) run of the lockstep campaign."""
 
-    workload: str
+    predictor: str
+    trace: str
     config_name: str
     scale: float
-    compare_interval: int = DEFAULT_COMPARE_INTERVAL
+
+    def label(self) -> str:
+        """``<trace> on <config>``, with the scale for catalog workloads."""
+        trace = (self.trace if self.trace in _SYNTHETIC_TRACES
+                 else f"{self.trace} at scale {self.scale}")
+        return f"{trace} on {self.config_name}"
+
+    def records(self) -> list[TraceRecord]:
+        """Build (or load from the trace cache) this case's trace."""
+        if self.trace in _SYNTHETIC_TRACES:
+            return _SYNTHETIC_TRACES[self.trace]()
+        from repro.workloads.catalog import workload_by_name
+
+        return workload_by_name(self.trace).trace(self.scale)
 
 
-def differential_case(case: CampaignCase) -> DifferentialResult:
+def lockstep_case(case: LockstepCase) -> LockstepResult:
     """Run one campaign case (module-level, so it is pool-picklable)."""
-    from repro.workloads.catalog import workload_by_name
-
     configs = {config.name: config for config in TABLE3_CONFIGS}
-    config = configs[case.config_name]
-    spec = workload_by_name(case.workload)
-    trace = spec.trace(case.scale)
-    return DifferentialRunner(
-        config, compare_interval=case.compare_interval
-    ).run(trace)
+    return lockstep(case.predictor, case.records(),
+                    configs[case.config_name])
 
 
 def run_campaign(
-    pairs: tuple[tuple[str, str], ...] = DEFAULT_CAMPAIGN_PAIRS,
+    names: Sequence[str] | None = None,
     scale: float = 0.01,
     jobs: int | None = None,
-    compare_interval: int = DEFAULT_COMPARE_INTERVAL,
-) -> list[DifferentialResult]:
-    """Differentially verify real workload traces across configurations."""
+) -> list[tuple[LockstepCase, LockstepResult]]:
+    """Run every selected predictor over :data:`LOCKSTEP_SLATE`.
+
+    Cases fan out through :func:`repro.experiments.pool.parallel_map`;
+    results come back in (predictor, slate) order.
+    """
     from repro.experiments.pool import parallel_map
 
+    names = predictor_names() if names is None else tuple(names)
     cases = [
-        CampaignCase(
-            workload=workload, config_name=config_name, scale=scale,
-            compare_interval=compare_interval,
-        )
-        for workload, config_name in pairs
+        LockstepCase(predictor=name, trace=trace, config_name=config_name,
+                     scale=scale)
+        for name in names
+        for trace, config_name in LOCKSTEP_SLATE
     ]
-    return parallel_map(differential_case, cases, jobs=jobs)
-
-
-def mutation_drill(
-    cases: int = 8,
-    seed: int = 7,
-    config: PredictorConfig | None = None,
-) -> DifferentialResult | None:
-    """Prove the oracle catches a seeded semantic mutation.
-
-    Temporarily sabotages the production LRU (a used prediction *demotes*
-    its BTB entry instead of refreshing it — a classic inverted-touch bug)
-    and runs small fuzz traces differentially.  Returns the first diverging
-    result, or ``None`` if the sabotage went undetected — the verify gate
-    treats ``None`` as a failure of the oracle itself.
-    """
-    from repro.btb.storage import BranchTargetBuffer
-
-    if config is None:
-        config = FUZZ_CONFIGS["small baseline"]
-    original_touch = BranchTargetBuffer.touch
-    BranchTargetBuffer.touch = BranchTargetBuffer.demote
-    try:
-        for case in range(cases):
-            trace = build_trace((seed << 20) ^ case, length=400)
-            result = DifferentialRunner(config).run(trace)
-            if result.diverged:
-                return result
-    finally:
-        BranchTargetBuffer.touch = original_touch
-    return None
+    return list(zip(cases, parallel_map(lockstep_case, cases, jobs=jobs)))

@@ -1,10 +1,15 @@
-"""Golden-baseline regression gate over the workload catalog.
+"""The golden grid: pinned end-to-end metrics for every registered predictor.
 
-A golden baseline is a JSON snapshot of per-workload end-to-end metrics
-(CPI, prediction accuracy, preload traffic) for the full BTB2 configuration
-at a pinned scale.  ``repro verify`` re-measures every workload and fails
+One JSON document under ``tests/golden/predictors.json`` pins, for each
+(predictor, workload) cell, the CPI, prediction accuracy, counts and
+preload traffic of a full-detail run on the full BTB2 configuration at a
+pinned scale.  The cells live under ``predictors.<name>.<workload>``;
+every registry entry is pinned over the same slate
+(:data:`GOLDEN_WORKLOADS`: the 13 Table 4 workloads and two adversarial
+BTB probes).  ``repro verify`` re-measures the selected cells and fails
 on any drift outside the recorded tolerances; ``repro verify
---update-golden`` regenerates the file after an *intended* behavior change.
+--update-golden`` regenerates the whole grid after an *intended*
+behavior change.
 
 The simulator is deterministic, so the default tolerances are essentially
 exact (a relative epsilon absorbs only float-serialization round-trips).
@@ -13,13 +18,16 @@ travel with the baseline, not with the checking code.
 
 Measurement goes through :func:`repro.experiments.pool.run_many`, so a
 verify pass reuses the shared on-disk result cache and parallelizes across
-workloads.
+cells.  :func:`compare_parallel`, the serial-vs-checkpoint-parallel
+bit-identity gate, also lives here; it covers the paper stack only,
+because zoo members run serial full detail.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 from repro.core.config import ZEC12_CONFIG_2, PredictorConfig
 from repro.experiments.common import RunResult
@@ -31,17 +39,25 @@ GOLDEN_SCHEMA = 1
 #: 50k-record minimum, keeping a full verify pass in seconds.
 GOLDEN_SCALE = 0.02
 #: Default on-repo location of the baseline.
-GOLDEN_PATH = Path("tests") / "golden" / "workloads.json"
+GOLDEN_PATH = Path("tests") / "golden" / "predictors.json"
 #: Default tolerances: relative slack on floats (serialization round-trip
 #: headroom only — the simulator is deterministic), exact integers.
 DEFAULT_TOLERANCES = {"relative": 1e-9}
+#: The workload slate every predictor is pinned on: the Table 4 catalog
+#: plus a capacity and an aliasing BTB probe, so a regression in either
+#: the direction machinery or the target store moves at least one cell.
+GOLDEN_WORKLOADS: tuple[str, ...] = (
+    *(spec.name for spec in TABLE4_WORKLOADS),
+    "adversarial/btb-capacity",
+    "adversarial/target-aliasing",
+)
 
-#: Integer preload counters pinned per workload.
+#: Integer preload counters pinned per cell.
 _PRELOAD_KEYS = ("rows_read", "entries_transferred")
 
 
 def workload_metrics(run: RunResult) -> dict:
-    """The per-workload metric block stored in (and checked against) gold."""
+    """The per-cell metric block stored in (and checked against) gold."""
     return {
         "cpi": run.cpi,
         "accuracy": 1.0 - run.bad_fraction,
@@ -54,43 +70,58 @@ def workload_metrics(run: RunResult) -> dict:
     }
 
 
-def measure_workloads(
+def measure(
     scale: float = GOLDEN_SCALE,
     config: PredictorConfig = ZEC12_CONFIG_2,
     jobs: int | None = None,
-    workloads: tuple[str, ...] | None = None,
+    predictors: Sequence[str] | None = None,
+    workloads: Sequence[str] | None = None,
     engine_mode: str = "object",
-) -> dict[str, dict]:
-    """Measure every catalog workload (cached, parallel); name -> metrics.
+) -> dict[str, dict[str, dict]]:
+    """Measure the (predictor, workload) grid; name -> workload -> metrics.
 
-    ``engine_mode`` selects the simulation engine; the golden gate run
-    under ``auto`` doubles as the engine-equivalence check, since the
-    baseline file is recorded by the object engine.
+    ``predictors`` defaults to the whole registry and ``workloads`` (exact
+    names) to :data:`GOLDEN_WORKLOADS`; a name the catalog does not know is
+    left out of the result.  ``engine_mode`` selects the paper stack's
+    engine: the grid is recorded by the object engine, so a pass under
+    ``auto`` doubles as the engine-equivalence check.  The zoo has one
+    engine, so its cells always run as object-engine plans and an ``auto``
+    pass finds them in the result cache.
     """
     from repro.experiments.pool import RunSpec, run_many
+    from repro.predictors.registry import DEFAULT_PREDICTOR, predictor_names
+    from repro.workloads.adversarial import ADVERSARIAL_WORKLOADS
 
+    catalog = {spec.name: spec
+               for spec in (*TABLE4_WORKLOADS, *ADVERSARIAL_WORKLOADS)}
     specs = [
-        RunSpec(workload=spec, config=config, scale=scale,
-                engine_mode=engine_mode)
-        for spec in TABLE4_WORKLOADS
-        if workloads is None or spec.name in workloads
+        RunSpec(workload=catalog[workload], config=config, scale=scale,
+                predictor=name,
+                engine_mode=(engine_mode if name == DEFAULT_PREDICTOR
+                             else "object"))
+        for name in (predictor_names() if predictors is None else predictors)
+        for workload in (GOLDEN_WORKLOADS if workloads is None else workloads)
+        if workload in catalog
     ]
-    runs = run_many(specs, jobs=jobs)
-    return {run.workload: workload_metrics(run) for run in runs}
+    grid: dict[str, dict[str, dict]] = {}
+    for spec, run in zip(specs, run_many(specs, jobs=jobs)):
+        grid.setdefault(spec.predictor, {})[run.workload] = (
+            workload_metrics(run))
+    return grid
 
 
-def build_baseline(
+def build(
     scale: float = GOLDEN_SCALE,
     config: PredictorConfig = ZEC12_CONFIG_2,
     jobs: int | None = None,
 ) -> dict:
-    """Measure all workloads and assemble a complete baseline document."""
+    """Measure the whole grid and assemble a complete baseline document."""
     return {
         "schema": GOLDEN_SCHEMA,
         "config": config.name,
         "scale": scale,
         "tolerances": dict(DEFAULT_TOLERANCES),
-        "workloads": measure_workloads(scale=scale, config=config, jobs=jobs),
+        "predictors": measure(scale=scale, config=config, jobs=jobs),
     }
 
 
@@ -120,66 +151,82 @@ def _within(measured, golden, relative: float) -> bool:
 
 
 def _compare_block(
-    workload: str, measured: dict, golden: dict, relative: float
+    cell: str, measured: dict, golden: dict, relative: float
 ) -> list[str]:
     problems = []
     for key in sorted(set(measured) | set(golden)):
         if key not in golden:
-            problems.append(f"{workload}: metric '{key}' not in baseline")
+            problems.append(f"{cell}: metric '{key}' not in baseline")
             continue
         if key not in measured:
-            problems.append(f"{workload}: metric '{key}' not measured")
+            problems.append(f"{cell}: metric '{key}' not measured")
             continue
         if isinstance(golden[key], dict):
             problems.extend(
                 _compare_block(
-                    f"{workload}.{key}", measured[key], golden[key], relative
+                    f"{cell}.{key}", measured[key], golden[key], relative
                 )
             )
         elif not _within(measured[key], golden[key], relative):
             problems.append(
-                f"{workload}: {key} measured {measured[key]!r} != "
+                f"{cell}: {key} measured {measured[key]!r} != "
                 f"golden {golden[key]!r} (relative tolerance {relative})"
             )
     return problems
 
 
-def compare_baseline(
+def compare(
     baseline: dict,
     jobs: int | None = None,
-    workloads: tuple[str, ...] | None = None,
+    predictors: Sequence[str] | None = None,
+    workloads: Sequence[str] | None = None,
     config: PredictorConfig = ZEC12_CONFIG_2,
     engine_mode: str = "object",
 ) -> list[str]:
-    """Re-measure and diff against ``baseline``; return all problems.
+    """Re-measure the selected cells and diff them against ``baseline``.
 
     Re-measurement happens at the baseline's own recorded scale, so the
-    file is self-describing.  ``workloads`` restricts the check (smoke
-    runs); a full gate checks every workload recorded in the file.
-    ``engine_mode="auto"`` re-measures with the batched engine, making
-    the gate a bit-identity check of the engines against each other.
+    file is self-describing.  ``predictors`` (default: the whole registry)
+    and ``workloads`` (exact names; default: every recorded one) select
+    the cells.  A selected registry entry with no recorded block, and a
+    cell that one predictor lacks while another has it, are problems:
+    every predictor is pinned over the same slate.  Problems read
+    ``<predictor>/<workload>: ...``.
     """
+    from repro.predictors.registry import predictor_names
+
     relative = float(baseline.get("tolerances", {}).get("relative", 0.0))
-    golden_workloads = baseline.get("workloads", {})
-    selected = {
-        name: golden
-        for name, golden in golden_workloads.items()
-        if workloads is None or name in workloads
-    }
-    if not selected:
-        return ["no workloads selected from the golden baseline"]
-    measured = measure_workloads(
+    golden = baseline.get("predictors", {})
+    selected = predictor_names() if predictors is None else tuple(predictors)
+    problems = [
+        f"{name}: predictor has no golden baseline block — regenerate "
+        f"with 'repro verify --update-golden'"
+        for name in selected if name not in golden
+    ]
+    present = [name for name in selected if name in golden]
+    cells = sorted({
+        workload
+        for name in present
+        for workload in golden[name]
+        if workloads is None or workload in workloads
+    })
+    if not cells:
+        return problems or ["no cells selected from the golden baseline"]
+    measured = measure(
         scale=float(baseline["scale"]), config=config, jobs=jobs,
-        workloads=tuple(selected), engine_mode=engine_mode,
+        predictors=present, workloads=cells, engine_mode=engine_mode,
     )
-    problems = []
-    for name in sorted(selected):
-        if name not in measured:
-            problems.append(f"{name}: workload missing from the catalog")
-            continue
-        problems.extend(
-            _compare_block(name, measured[name], selected[name], relative)
-        )
+    for name in present:
+        for workload in cells:
+            cell = f"{name}/{workload}"
+            if workload not in golden[name]:
+                problems.append(f"{cell}: cell missing from the baseline")
+            elif workload not in measured.get(name, {}):
+                problems.append(f"{cell}: workload missing from the catalog")
+            else:
+                problems.extend(_compare_block(
+                    cell, measured[name][workload], golden[name][workload],
+                    relative))
     return problems
 
 

@@ -13,21 +13,21 @@ Provided transforms:
 * :func:`relabel` — shift every address/target by one aligned offset;
 * :func:`permute_regions` — permute the coarse address regions (modules)
   of a multi-region trace, each region moving by its own aligned offset;
-* :func:`run_counters` — a full comparable fingerprint of a simulation
+* :func:`run_counters` — a full comparable fingerprint of a run's result
   (every counter, penalty and structure statistic), for exact equality
   assertions between transformed runs.
 
-The pytest suite (``tests/oracle/test_metamorphic.py``) combines these
-with two further invariances: trace concatenation behaves as a context
-switch (simulate(A+B) == resume(snapshot(simulate(A)), B)) and sampled
-runs agree with full runs within their reported confidence intervals.
+The relabel invariance is enforced for every registered predictor by the
+conformance battery (:func:`repro.predictors.conformance.check_relabel`).
+The pytest suite (``tests/oracle/test_metamorphic.py``) adds two further
+invariances: trace concatenation behaves as a context switch
+(simulate(A+B) == resume(snapshot(simulate(A)), B)) and sampled runs
+agree with full runs within their reported confidence intervals.
 """
 
 from __future__ import annotations
 
-from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
-from repro.engine.params import DEFAULT_TIMING, TimingParams
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import SimulationResult
 from repro.trace.record import TraceRecord
 
 #: Required alignment of relabeling offsets: bit 22 is above every index,
@@ -100,47 +100,20 @@ def permute_regions(
     ]
 
 
-def run_counters(
-    trace: list[TraceRecord],
-    config: PredictorConfig = ZEC12_CONFIG_2,
-    timing: TimingParams = DEFAULT_TIMING,
-) -> dict:
-    """Address-free fingerprint of one simulation, for exact comparison.
+def run_counters(result: SimulationResult) -> dict:
+    """Address-free fingerprint of one run's result, for exact comparison.
 
     Everything counted — cycles, outcome taxonomy, penalties, search and
     preload traffic, structure statistics — none of which embeds an
     absolute address, so two behaviorally identical runs of relabeled
-    traces produce equal fingerprints.
+    traces produce equal fingerprints.  The zoo's results carry counters
+    only; their statistics sections are empty.
     """
-    simulator = Simulator(config=config, timing=timing)
-    result = simulator.run(trace)
     return {
         "counters": result.counters.state_dict(),
         "search": dict(result.search_stats),
         "btbp": dict(result.btbp_stats),
-        "btb2": {
-            key: value
-            for key, value in result.btb2_stats.items()
-        },
+        "btb2": dict(result.btb2_stats),
         "preload": dict(result.preload_stats),
         "icache": dict(result.icache_stats),
     }
-
-
-def check_relabel_invariance(
-    trace: list[TraceRecord],
-    config: PredictorConfig = ZEC12_CONFIG_2,
-    timing: TimingParams = DEFAULT_TIMING,
-    offset: int = 64 * RELABEL_GRANULE,
-) -> list[str]:
-    """Run ``trace`` and its relabeled twin; return any counter drift."""
-    base = run_counters(trace, config, timing)
-    moved = run_counters(relabel(trace, offset), config, timing)
-    problems = []
-    for section in sorted(set(base) | set(moved)):
-        if base.get(section) != moved.get(section):
-            problems.append(
-                f"relabel(+{offset:#x}) changed '{section}': "
-                f"{base.get(section)!r} != {moved.get(section)!r}"
-            )
-    return problems

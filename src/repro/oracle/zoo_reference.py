@@ -1,38 +1,26 @@
-"""Differential oracles for the predictor zoo: lockstep vs reference models.
+"""Reference models of the predictor zoo, for the lockstep oracle.
 
-Every non-paper registry entry gets its own *independently written*
-reference model — same specified behavior, deliberately different data
-structures — and a lockstep runner that compares them branch by branch:
-predicted direction, predicted target, outcome class, and charged penalty,
-with first-divergence reporting (record index, branch address, field,
-both values).  The paper stack already has its event-level oracle in
-:mod:`repro.oracle.differential`; this module extends the same discipline
-to the zoo.
+Every zoo registry entry gets an *independently written* reference model
+here: same specified behavior, deliberately different data structures.
+The production engine keeps MRU-ordered row lists in its
+:class:`~repro.predictors.base.SetAssociativeTable`, the references keep a
+flat dict with explicit last-use timestamps; the production TAGE folds
+history with integer shift arithmetic, the reference folds a bit *list*
+chunk by chunk.  A bug in either representation shows up as a divergence
+instead of being faithfully mirrored.
 
-Structural diversity is the point: the production engine keeps MRU-ordered
-row lists in its :class:`~repro.predictors.base.SetAssociativeTable`, the
-references here keep a flat dict with explicit last-use timestamps; the
-production TAGE folds history with integer shift arithmetic, the reference
-folds a bit *list* chunk by chunk.  A bug in either representation shows
-up as a divergence instead of being faithfully mirrored.
-
-The shared minimizer applies unchanged: :func:`repro.audit.fuzz.shrink`
-with "the lockstep still diverges" as the failure predicate
-(:func:`shrink_divergence`).  :func:`mutation_drill` proves the oracle has
-teeth by sabotaging the production table's LRU promotion and demanding a
-divergence on every zoo predictor.
+The paper stack's reference model is
+:class:`~repro.oracle.reference.ReferencePredictor`;
+:mod:`repro.oracle.differential` steps each model in lockstep with the
+production predictor of the same registry name.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-
-from repro.core.config import ZEC12_CONFIG_2, PredictorConfig
+from repro.core.config import PredictorConfig
 from repro.core.events import OutcomeKind
-from repro.engine.params import DEFAULT_TIMING, TimingParams
+from repro.engine.params import TimingParams
 from repro.isa.opcodes import BranchKind, static_guess
-from repro.predictors.base import SetAssociativeTable
 from repro.predictors.bullseye import (
     H2P_MIN_EXECS,
     H2P_MISS_DENOMINATOR,
@@ -41,7 +29,6 @@ from repro.predictors.bullseye import (
     SPECIALIST_CAPACITY,
 )
 from repro.predictors.ldbp import TRIP_CONFIDENCE
-from repro.predictors.registry import create_predictor
 from repro.predictors.tage import (
     BIMODAL_ENTRIES,
     GHIST_LENGTHS,
@@ -50,49 +37,6 @@ from repro.predictors.tage import (
     TAGGED_ENTRIES,
 )
 from repro.trace.record import TraceRecord
-
-
-@dataclass(frozen=True)
-class ZooDivergence:
-    """First production/reference disagreement of a lockstep run."""
-
-    record_index: int
-    address: int
-    field: str
-    production: object
-    reference: object
-
-    def report(self) -> str:
-        """One-line description of the disagreement."""
-        return (
-            f"divergence at record {self.record_index}, branch "
-            f"{self.address:#x}: {self.field} production="
-            f"{self.production!r} reference={self.reference!r}"
-        )
-
-
-@dataclass
-class ZooLockstepResult:
-    """Outcome of one lockstep run (production vs reference)."""
-
-    predictor: str
-    records: int
-    branches: int
-    diverged: bool
-    divergence: ZooDivergence | None = None
-
-    def report(self) -> str:
-        """One-line summary for the verify gate output."""
-        if not self.diverged:
-            return (
-                f"no divergence: {self.predictor}, {self.records} records, "
-                f"{self.branches} branches in lockstep"
-            )
-        assert self.divergence is not None
-        return f"{self.predictor}: {self.divergence.report()}"
-
-
-# -- reference engine --------------------------------------------------------
 
 
 class _ReferenceBit:
@@ -435,160 +379,10 @@ class _BullseyeReference(_ZooReference):
             self.specialists.pop(victim["address"], None)
 
 
-#: Reference-model factory per zoo registry name.  The paper stack keeps
-#: its event-level oracle in :mod:`repro.oracle.differential`.
+#: Reference-model factory per zoo registry name (the paper stack's is
+#: :class:`~repro.oracle.reference.ReferencePredictor`).
 ZOO_REFERENCES = {
     "tage": _TageReference,
     "ldbp": _LdbpReference,
     "bullseye": _BullseyeReference,
 }
-
-
-def lockstep_names() -> tuple[str, ...]:
-    """Registry names covered by a zoo reference model, sorted."""
-    return tuple(sorted(ZOO_REFERENCES))
-
-
-def lockstep(
-    name: str,
-    records: list[TraceRecord],
-    config: PredictorConfig = ZEC12_CONFIG_2,
-    timing: TimingParams = DEFAULT_TIMING,
-) -> ZooLockstepResult:
-    """Run production and reference in lockstep; stop at first divergence.
-
-    Compares, per branch: predicted direction, predicted target, outcome
-    class, and charged penalty; after a clean run, the final counters
-    (including the reconstructed clock, to float tolerance).
-    """
-    if name not in ZOO_REFERENCES:
-        raise ValueError(
-            f"no zoo reference model for {name!r}; available: "
-            f"{', '.join(lockstep_names())} (the paper stack uses "
-            f"repro.oracle.differential)")
-    production = create_predictor(name, config=config, timing=timing)
-    reference = ZOO_REFERENCES[name](config, timing)
-
-    observed: list[tuple] = []
-
-    def probe(record, prediction, kind, penalty) -> None:
-        observed.append((
-            None if prediction is None else prediction.taken,
-            None if prediction is None else prediction.target,
-            kind.value, penalty))
-
-    production.probe = probe
-    branches = 0
-    for index, record in enumerate(records):
-        observed.clear()
-        production.step(record)
-        expected = reference.step(record)
-        if expected is None:
-            continue
-        branches += 1
-        actual = observed[0] if observed else None
-        if actual == expected:
-            continue
-        for field, got, want in zip(
-                ("taken", "target", "outcome", "penalty"),
-                actual or ("<no probe>",) * 4, expected):
-            if got != want:
-                return ZooLockstepResult(
-                    predictor=name, records=index + 1, branches=branches,
-                    diverged=True,
-                    divergence=ZooDivergence(index, record.address,
-                                             field, got, want))
-        return ZooLockstepResult(
-            predictor=name, records=index + 1, branches=branches,
-            diverged=True,
-            divergence=ZooDivergence(index, record.address, "branch",
-                                     actual, expected))
-
-    result = production.finish()
-    final = reference.final_counters()
-    counters = result.counters
-    pairs = (
-        ("instructions", counters.instructions, final["instructions"]),
-        ("branches", counters.branches, final["branches"]),
-        ("taken_branches", counters.taken_branches, final["taken"]),
-        ("context_switches", counters.context_switches,
-         final["context_switches"]),
-        ("outcomes", {kind.value: count
-                      for kind, count in counters.outcomes.items()},
-         final["outcomes"]),
-    )
-    for field, got, want in pairs:
-        if got != want:
-            return ZooLockstepResult(
-                predictor=name, records=len(records), branches=branches,
-                diverged=True,
-                divergence=ZooDivergence(len(records), 0,
-                                         f"final {field}", got, want))
-    if not math.isclose(counters.cycles, reference.cycle,
-                        rel_tol=1e-9, abs_tol=1e-9):
-        return ZooLockstepResult(
-            predictor=name, records=len(records), branches=branches,
-            diverged=True,
-            divergence=ZooDivergence(len(records), 0, "final cycles",
-                                     counters.cycles, reference.cycle))
-    return ZooLockstepResult(predictor=name, records=len(records),
-                             branches=branches, diverged=False)
-
-
-def shrink_divergence(
-    name: str,
-    records: list[TraceRecord],
-    config: PredictorConfig = ZEC12_CONFIG_2,
-    timing: TimingParams = DEFAULT_TIMING,
-) -> list[TraceRecord]:
-    """ddmin a diverging trace to a minimal still-diverging one."""
-    from repro.audit.fuzz import shrink
-
-    return shrink(
-        records, config, timing,
-        fails=lambda candidate: lockstep(
-            name, candidate, config, timing).diverged)
-
-
-#: Small geometry for the mutation drill: heavy BIT eviction pressure so
-#: replacement-order bugs become observable within a short trace.
-_DRILL_CONFIG = replace(
-    ZEC12_CONFIG_2, btb1_rows=8, btb1_ways=2, name="zoo mutation drill")
-
-
-def mutation_drill(
-    names: tuple[str, ...] | None = None,
-    seed: int = 7,
-    length: int = 500,
-) -> list[str]:
-    """Prove the lockstep oracle catches an injected replacement bug.
-
-    Sabotages :meth:`SetAssociativeTable.touch` into a no-op (LRU stops
-    promoting on hits) and demands every zoo lockstep diverge on a loopy
-    random trace under eviction pressure.  Returns problems — one line per
-    predictor whose oracle *failed to notice* — plus a sanity leg checking
-    the unsabotaged runs stay clean.
-    """
-    from repro.audit.fuzz import build_trace
-
-    names = lockstep_names() if names is None else names
-    trace = build_trace(seed, length)
-    problems = []
-    for name in names:
-        clean = lockstep(name, trace, config=_DRILL_CONFIG)
-        if clean.diverged:
-            problems.append(
-                f"{name}: lockstep diverged before sabotage — "
-                f"{clean.divergence.report()}")
-    pristine = SetAssociativeTable.touch
-    SetAssociativeTable.touch = lambda self, address: None
-    try:
-        for name in names:
-            sabotaged = lockstep(name, trace, config=_DRILL_CONFIG)
-            if not sabotaged.diverged:
-                problems.append(
-                    f"{name}: oracle missed the sabotaged LRU promotion "
-                    f"({sabotaged.branches} branches in lockstep)")
-    finally:
-        SetAssociativeTable.touch = pristine
-    return problems

@@ -5,10 +5,9 @@ Every registered predictor implements
 paper's two-level bulk-preload stack is
 :class:`~repro.engine.simulator.Simulator` itself, registered as
 ``"paper"`` beside the zoo members (TAGE-like, LDBP-style,
-Bullseye-style).  The package also carries the shared verification
-machinery: the conformance battery, the per-predictor differential
-references, and the per-predictor golden gate.  See docs/ARCHITECTURE.md
-("Predictor zoo").
+Bullseye-style).  The package also carries the conformance battery; the
+lockstep oracles, their reference models and the golden grid live in
+:mod:`repro.oracle`.  See docs/ARCHITECTURE.md ("Predictor zoo").
 """
 
 from repro.engine.predictor import Predictor

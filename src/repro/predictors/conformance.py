@@ -1,4 +1,4 @@
-"""Predictor conformance battery: the contract every zoo member must meet.
+"""Predictor conformance battery: the contract every registry entry meets.
 
 A registry entry is only useful if the harness can trust it the way it
 trusts the paper stack: deterministic replay, checkpointable state,
@@ -11,8 +11,8 @@ The battery is *behavioral*, driven purely through the public
 :class:`~repro.engine.predictor.Predictor` interface, so it applies
 unchanged to the paper stack and to any future registry entry.  It is
 consumed twice: ``tests/predictors/test_conformance.py`` parametrizes it
-over every registry entry, and ``repro verify --predictor`` runs it as
-part of the zoo gate.
+over every registry entry, and ``repro verify`` runs it first for every
+selected predictor.
 
 Checks (name -> meaning):
 
@@ -25,7 +25,8 @@ Checks (name -> meaning):
   hidden batching effects in functional warming).
 * ``relabel`` — shifting every address by a multiple of the fold-granule
   (:data:`repro.oracle.metamorphic.RELABEL_GRANULE`) leaves every counter
-  unchanged: no predictor may key behavior on absolute addresses.
+  and structure statistic unchanged: no predictor may key behavior on
+  absolute addresses.
 * ``audit-clean`` — a fully audited run of the conformance trace raises
   no invariant violation.
 """
@@ -133,19 +134,26 @@ def check_relabel(
     name: str, trace: Sequence[TraceRecord],
     config: PredictorConfig, timing: TimingParams,
 ) -> list[str]:
-    """Granule-aligned address relabeling must not move any counter."""
-    from repro.oracle.metamorphic import RELABEL_GRANULE, relabel
+    """Granule-aligned address relabeling must not move any counter.
 
-    base = create_predictor(name, config=config, timing=timing)
-    shifted = create_predictor(name, config=config, timing=timing)
-    base.run(list(trace))
-    shifted.run(relabel(list(trace), RELABEL_SHIFTS * RELABEL_GRANULE))
-    if base.counters.state_dict() != shifted.counters.state_dict():
-        return [
-            f"counters changed under a {RELABEL_SHIFTS}-granule address "
-            f"relabel — behavior depends on absolute addresses"
-        ]
-    return []
+    Compares the full address-free fingerprint of the two runs
+    (:func:`repro.oracle.metamorphic.run_counters`): counters plus the
+    search, BTBP, BTB2, preload and icache statistics.
+    """
+    from repro.oracle.metamorphic import RELABEL_GRANULE, relabel, run_counters
+
+    offset = RELABEL_SHIFTS * RELABEL_GRANULE
+    base = run_counters(
+        create_predictor(name, config=config, timing=timing).run(list(trace)))
+    moved = run_counters(
+        create_predictor(name, config=config, timing=timing).run(
+            relabel(list(trace), offset)))
+    return [
+        f"relabel(+{offset:#x}) changed '{section}': {base[section]!r} != "
+        f"{moved[section]!r} — behavior depends on absolute addresses"
+        for section in sorted(base)
+        if base[section] != moved[section]
+    ]
 
 
 def check_audit_clean(

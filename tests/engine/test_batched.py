@@ -209,15 +209,11 @@ class TestGoldenMetamorphic:
     """``engine_mode="auto"`` must leave golden baselines bit-identical."""
 
     def _gate(self, workloads):
-        from repro.oracle.golden import (
-            GOLDEN_PATH,
-            compare_baseline,
-            load_baseline,
-        )
+        from repro.oracle.golden import GOLDEN_PATH, compare, load_baseline
 
         baseline = load_baseline(GOLDEN_PATH)
-        problems = compare_baseline(baseline, workloads=workloads,
-                                    engine_mode="auto")
+        problems = compare(baseline, predictors=("paper",),
+                           workloads=workloads, engine_mode="auto")
         assert problems == []
 
     def test_batched_engine_passes_golden_smoke(self):

@@ -33,3 +33,29 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["--bogus"])
+
+    def test_exported_switches_do_not_outlive_the_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # --audit and --progress export $REPRO_AUDIT/$REPRO_STATUS for the
+        # pool workers; the caller's environment comes back afterwards.
+        import os
+
+        from repro.experiments import run_all
+
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        monkeypatch.setenv("REPRO_STATUS", "caller.status.jsonl")
+        seen = {}
+
+        def fake_report(scale, sweep_scale, jobs=None):
+            seen["audit"] = os.environ.get("REPRO_AUDIT")
+            seen["status"] = os.environ.get("REPRO_STATUS")
+            return "report\n"
+
+        monkeypatch.setattr(run_all, "build_report", fake_report)
+        output = tmp_path / "report.md"
+        assert main(["--audit", "--progress", "--output", str(output)]) == 0
+        assert seen == {"audit": "1",
+                        "status": f"{output}.status.jsonl"}
+        assert "REPRO_AUDIT" not in os.environ
+        assert os.environ["REPRO_STATUS"] == "caller.status.jsonl"

@@ -1,10 +1,10 @@
-"""Golden-baseline gate logic, exercised without real measurements.
+"""Golden-grid gate logic, exercised without real measurements.
 
-``compare_baseline`` re-measures through the (expensive) experiment pool;
-these tests monkeypatch the measurement step so the comparison semantics
-— tolerances, drift detection, schema checks, workload selection — are
-pinned cheaply.  The real end-to-end gate runs under ``repro verify``
-(full CI tier, ``tests/test_cli.py``).
+``compare`` re-measures through the (expensive) experiment pool; these
+tests monkeypatch the measurement step so the comparison semantics —
+tolerances, drift detection, schema checks, cell selection — are pinned
+cheaply.  The real end-to-end gate runs under ``repro verify`` (full CI
+tier, ``tests/test_cli.py``).
 """
 
 import pytest
@@ -23,80 +23,92 @@ def metrics(cpi: float = 1.5, branches: int = 1000) -> dict:
     }
 
 
-def baseline(workload_metrics: dict) -> dict:
+def baseline(cells: dict, name: str = "paper") -> dict:
     return {
         "schema": golden.GOLDEN_SCHEMA,
         "config": "zEC12 config 2",
         "scale": 0.02,
         "tolerances": dict(golden.DEFAULT_TOLERANCES),
-        "workloads": workload_metrics,
+        "predictors": {name: cells},
     }
 
 
 @pytest.fixture
 def measured(monkeypatch):
-    """Patch re-measurement to return a controllable dict."""
+    """Patch re-measurement to return a controllable paper block."""
     store = {}
 
-    def fake_measure(scale, config=None, jobs=None, workloads=None,
-                     engine_mode="object"):
-        return {
+    def fake_measure(scale, config=None, jobs=None, predictors=None,
+                     workloads=None, engine_mode="object"):
+        return {"paper": {
             name: block for name, block in store.items()
             if workloads is None or name in workloads
-        }
+        }}
 
-    monkeypatch.setattr(golden, "measure_workloads", fake_measure)
+    monkeypatch.setattr(golden, "measure", fake_measure)
     return store
+
+
+def check(document: dict, **selection) -> list[str]:
+    return golden.compare(document, predictors=("paper",), **selection)
 
 
 class TestCompareBaseline:
     def test_identical_measurement_passes(self, measured):
         measured["TPF"] = metrics()
-        assert golden.compare_baseline(baseline({"TPF": metrics()})) == []
+        assert check(baseline({"TPF": metrics()})) == []
 
     def test_float_drift_is_caught_and_named(self, measured):
         measured["TPF"] = metrics(cpi=1.5001)
-        problems = golden.compare_baseline(baseline({"TPF": metrics()}))
+        problems = check(baseline({"TPF": metrics()}))
         assert len(problems) == 1
-        assert "TPF" in problems[0] and "cpi" in problems[0]
+        assert "paper/TPF" in problems[0] and "cpi" in problems[0]
 
     def test_tiny_float_noise_within_tolerance(self, measured):
         measured["TPF"] = metrics(cpi=1.5 * (1 + 1e-12))
-        assert golden.compare_baseline(baseline({"TPF": metrics()})) == []
+        assert check(baseline({"TPF": metrics()})) == []
 
     def test_integer_drift_is_exact(self, measured):
         measured["TPF"] = metrics(branches=1001)
-        problems = golden.compare_baseline(baseline({"TPF": metrics()}))
+        problems = check(baseline({"TPF": metrics()}))
         assert any("branches" in p for p in problems)
 
     def test_nested_preload_drift_is_caught(self, measured):
         block = metrics()
         block["preload"]["rows_read"] = 121
         measured["TPF"] = block
-        problems = golden.compare_baseline(baseline({"TPF": metrics()}))
+        problems = check(baseline({"TPF": metrics()}))
         assert any("preload" in p and "rows_read" in p for p in problems)
 
     def test_missing_workload_reported(self, measured):
-        problems = golden.compare_baseline(baseline({"TPF": metrics()}))
-        assert problems == ["TPF: workload missing from the catalog"]
+        problems = check(baseline({"TPF": metrics()}))
+        assert problems == ["paper/TPF: workload missing from the catalog"]
 
     def test_new_metric_not_in_baseline_reported(self, measured):
         block = metrics()
         block["novel"] = 3
         measured["TPF"] = block
-        problems = golden.compare_baseline(baseline({"TPF": metrics()}))
+        problems = check(baseline({"TPF": metrics()}))
         assert any("novel" in p and "not in baseline" in p for p in problems)
 
     def test_workload_selection_restricts_the_gate(self, measured):
         measured["TPF"] = metrics()
         measured["Other"] = metrics(cpi=9.9)  # would fail if selected
         gold = baseline({"TPF": metrics(), "Other": metrics()})
-        assert golden.compare_baseline(gold, workloads=("TPF",)) == []
+        assert check(gold, workloads=("TPF",)) == []
 
     def test_empty_selection_is_an_error(self, measured):
         gold = baseline({"TPF": metrics()})
-        problems = golden.compare_baseline(gold, workloads=("nonesuch",))
-        assert problems == ["no workloads selected from the golden baseline"]
+        problems = check(gold, workloads=("nonesuch",))
+        assert problems == ["no cells selected from the golden baseline"]
+
+    def test_cell_one_predictor_lacks_is_reported(self, measured):
+        measured["TPF"] = metrics()
+        gold = baseline({"TPF": metrics()})
+        gold["predictors"]["tage"] = {"Other": metrics()}
+        problems = golden.compare(gold, predictors=("paper", "tage"),
+                                  workloads=("TPF",))
+        assert problems == ["tage/TPF: cell missing from the baseline"]
 
 
 class TestBaselineFile:
@@ -123,7 +135,8 @@ class TestBaselineFile:
         from repro.workloads.catalog import TABLE4_WORKLOADS
 
         document = golden.load_baseline(golden.GOLDEN_PATH)
-        assert set(document["workloads"]) == {
-            spec.name for spec in TABLE4_WORKLOADS
-        }
+        assert set(document["predictors"]["paper"]) == set(
+            golden.GOLDEN_WORKLOADS)
+        assert {spec.name for spec in TABLE4_WORKLOADS} <= set(
+            document["predictors"]["paper"])
         assert document["scale"] == golden.GOLDEN_SCALE

@@ -3,19 +3,26 @@
 import pytest
 
 from repro.core.config import ZEC12_CONFIG_2
+from repro.engine.params import DEFAULT_TIMING
 from repro.engine.simulator import Simulator
 from repro.oracle.metamorphic import (
     RELABEL_GRANULE,
-    check_relabel_invariance,
     permute_regions,
     relabel,
     run_counters,
 )
+from repro.predictors.conformance import check_relabel
+from repro.predictors.registry import create_predictor
 from repro.sampling import SamplingPlan, run_sampled
 
 from tests.conftest import BASE, loop_trace
 
 REGION = 1 << 30
+
+
+def fingerprint(trace: list) -> dict:
+    """The full address-free fingerprint of a paper-stack run."""
+    return run_counters(create_predictor("paper", ZEC12_CONFIG_2).run(trace))
 
 
 def two_region_trace() -> list:
@@ -31,17 +38,18 @@ class TestRelabel:
             relabel(loop_trace(2), offset=RELABEL_GRANULE // 2)
 
     def test_relabel_preserves_every_counter(self):
-        problems = check_relabel_invariance(
-            loop_trace(iterations=120), config=ZEC12_CONFIG_2
+        # The conformance battery's relabel check (+64 granules), which
+        # compares the full fingerprint: counters and every statistic.
+        problems = check_relabel(
+            "paper", loop_trace(iterations=120), ZEC12_CONFIG_2,
+            DEFAULT_TIMING,
         )
         assert problems == []
 
     def test_relabel_preserves_counters_on_multi_region_trace(self):
-        problems = check_relabel_invariance(
-            two_region_trace(), config=ZEC12_CONFIG_2,
-            offset=-16 * RELABEL_GRANULE,
-        )
-        assert problems == []
+        trace = two_region_trace()
+        moved = relabel(trace, offset=-16 * RELABEL_GRANULE)
+        assert fingerprint(moved) == fingerprint(trace)
 
 
 class TestRegionPermutation:
@@ -57,7 +65,7 @@ class TestRegionPermutation:
         trace = two_region_trace()
         permuted = permute_regions(trace)
         assert permuted != trace  # the transform actually moved something
-        assert run_counters(trace) == run_counters(permuted)
+        assert fingerprint(trace) == fingerprint(permuted)
 
 
 class TestConcatenationIsContextSwitch:

@@ -1,12 +1,28 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import _suffixed, build_parser, main
 from repro.core.config import ZEC12_CONFIG_2
 from repro.telemetry import validate_jsonl
+
+
+def snapshot_values(path) -> dict:
+    """The run counters of a metrics snapshot file, by metric name."""
+    from repro.telemetry.metrics import validate_snapshot
+
+    snapshot = json.loads(path.read_text())
+    assert validate_snapshot(snapshot) == []
+    values = {}
+    for metric in snapshot["metrics"]:
+        for series in metric["series"]:
+            key = metric["name"] + "".join(
+                f"[{label}]" for label in series["labels"])
+            values[key] = series.get("value", series.get("count"))
+    return values
 
 
 class TestParser:
@@ -116,6 +132,17 @@ class TestTelemetryCommands:
         assert (tmp_path / "events.cfg1.jsonl").exists()
         assert (tmp_path / "events.cfg2.jsonl").exists()
 
+    def test_simulate_writes_the_run_counters(self, tmp_path, capsys):
+        target = tmp_path / "m.json"
+        assert main(["simulate", "TPF", "--scale", "0.02", "--configs", "2",
+                     "--metrics", str(target)]) == 0
+        counters = snapshot_values(target)
+        assert counters["repro_runs_total[simulated]"] == 1
+        assert counters["repro_run_instructions_total"] == 50_000
+        assert counters["repro_run_branches_total"] > 0
+        assert counters["repro_run_seconds"] == 1
+        assert "wrote 0 metric(s)" not in capsys.readouterr().out
+
     def test_timeline_renders(self, tmp_path, capsys):
         csv = tmp_path / "timeline.csv"
         assert main(["timeline", "TPF", "--scale", "0.02",
@@ -170,6 +197,24 @@ class TestParallelSimulate:
         assert "audit" in capsys.readouterr().err
 
 
+class TestAuditEnvironment:
+    """``--audit`` exports ``$REPRO_AUDIT`` for one command only."""
+
+    def test_audit_switch_does_not_outlive_the_command(self, monkeypatch):
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        assert main(["simulate", "TPF", "--scale", "0.02", "--configs", "2",
+                     "--audit", "--parallel-intervals", "2"]) == 2
+        assert "REPRO_AUDIT" not in os.environ
+
+    def test_previous_value_is_restored_when_the_command_raises(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_AUDIT", "0")
+        with pytest.raises(KeyError):
+            main(["simulate", "no-such-workload", "--audit"])
+        assert os.environ["REPRO_AUDIT"] == "0"
+
+
 class TestRefusalExitCode:
     def test_sampled_refusal_exits_nonzero(self, capsys):
         # An impossibly tight CI bound forces ConfidenceBoundExceeded; the
@@ -191,21 +236,37 @@ class TestRefusalExitCode:
         assert "CPI" in capsys.readouterr().out
 
 
+def faithful_measure(real: dict):
+    """A stand-in for :func:`repro.oracle.golden.measure` that returns the
+    committed cells of ``real`` (a perfect re-measurement)."""
+
+    def measure(scale, config=None, jobs=None, predictors=None,
+                workloads=None, engine_mode="object"):
+        return {name: {workload: real["predictors"][name][workload]
+                       for workload in workloads}
+                for name in predictors}
+
+    return measure
+
+
 class TestVerifyCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["verify"])
         assert args.command == "verify"
-        assert args.golden == "tests/golden/workloads.json"
+        assert args.golden == "tests/golden/predictors.json"
         assert args.scale == 0.01 and args.golden_scale == 0.02
         assert not args.update_golden
+        assert args.predictor == ["paper"]
 
     def test_mutation_drill_gate_alone(self, capsys):
         code = main(["verify", "--skip-differential", "--skip-golden",
                      "--skip-parallel"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "mutation drill: caught" in out
-        assert "divergence at record" in out
+        assert "conformance[paper]: 5 checks passed" in out
+        assert "mutation drill[paper]: caught" in out
+        assert ("divergence at record 44, branch 0x10000142, cycle 108: "
+                "structure 'BTB1 row'") in out
         assert "verify: all gates passed" in out
 
     def test_golden_gate_fails_on_drift(self, tmp_path, capsys, monkeypatch):
@@ -215,21 +276,16 @@ class TestVerifyCommand:
         real = golden.load_baseline(golden.GOLDEN_PATH)
         name = "TPF airline reservations"
         doctored = json.loads(json.dumps(real))
-        doctored["workloads"][name]["cpi"] *= 2
+        doctored["predictors"]["paper"][name]["cpi"] *= 2
         path = tmp_path / "gold.json"
         golden.write_baseline(path, doctored)
-
-        def fake_measure(scale, config=None, jobs=None, workloads=None,
-                         engine_mode="object"):
-            return {name: real["workloads"][name]}
-
-        monkeypatch.setattr(golden, "measure_workloads", fake_measure)
+        monkeypatch.setattr(golden, "measure", faithful_measure(real))
         code = main(["verify", "--skip-differential", "--skip-mutation-drill",
                      "--skip-parallel",
                      "--golden", str(path), "--workloads", "TPF"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "golden[object]:" in err and "cpi" in err
+        assert f"golden[paper]: paper/{name}: cpi" in err
         assert "verify: FAILED" in err
 
     def test_golden_gate_passes_when_measurement_matches(
@@ -238,19 +294,40 @@ class TestVerifyCommand:
         from repro.oracle import golden
 
         real = golden.load_baseline(golden.GOLDEN_PATH)
-        name = "TPF airline reservations"
-
-        def fake_measure(scale, config=None, jobs=None, workloads=None,
-                         engine_mode="object"):
-            return {name: real["workloads"][name]}
-
-        monkeypatch.setattr(golden, "measure_workloads", fake_measure)
+        monkeypatch.setattr(golden, "measure", faithful_measure(real))
         code = main(["verify", "--skip-differential", "--skip-mutation-drill",
                      "--skip-parallel",
                      "--golden", str(golden.GOLDEN_PATH),
                      "--workloads", "TPF"])
         assert code == 0
-        assert "within tolerance" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "golden[paper]: 1 cell(s) within tolerance, object" in out
+        assert "golden[paper]: 1 cell(s) within tolerance, auto" in out
+
+    def test_workload_selection_narrows_every_predictors_cells(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A doctored zoo cell outside the selection must not be checked;
+        # without the selection it must fail, naming the cell.
+        from repro.oracle import golden
+
+        real = golden.load_baseline(golden.GOLDEN_PATH)
+        doctored = json.loads(json.dumps(real))
+        doctored["predictors"]["tage"]["adversarial/target-aliasing"][
+            "cpi"] *= 2
+        path = tmp_path / "gold.json"
+        golden.write_baseline(path, doctored)
+        monkeypatch.setattr(golden, "measure", faithful_measure(real))
+        command = ["verify", "--skip-differential", "--skip-mutation-drill",
+                   "--skip-parallel", "--predictor", "tage",
+                   "--golden", str(path)]
+        assert main(command + ["--workloads", "TPF"]) == 0
+        assert ("golden[tage]: 1 cell(s) within tolerance"
+                in capsys.readouterr().out)
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert "golden[tage]: tage/adversarial/target-aliasing: cpi" in err
+        assert "TPF" not in err
 
     def test_update_golden_writes_selected_file(self, tmp_path, monkeypatch):
         from repro.oracle import golden
@@ -258,9 +335,9 @@ class TestVerifyCommand:
         def fake_build(scale, config=None, jobs=None):
             return {"schema": golden.GOLDEN_SCHEMA, "config": "x",
                     "scale": scale, "tolerances": {"relative": 1e-9},
-                    "workloads": {"W": {"cpi": 1.0}}}
+                    "predictors": {"paper": {"W": {"cpi": 1.0}}}}
 
-        monkeypatch.setattr(golden, "build_baseline", fake_build)
+        monkeypatch.setattr(golden, "build", fake_build)
         path = tmp_path / "gold.json"
         assert main(["verify", "--update-golden", "--golden", str(path),
                      "--golden-scale", "0.03"]) == 0
@@ -270,22 +347,26 @@ class TestVerifyCommand:
 @pytest.mark.slow
 class TestVerifyEndToEnd:
     def test_full_verify_passes_on_main(self, capsys):
-        # The real gate, cold caches (the autouse fixture isolates them):
-        # mutation drill, three lockstep workload/config pairs, and the
-        # 13-workload golden baseline.
+        # The real gate over the paper stack, cold caches (the autouse
+        # fixture isolates them): conformance battery, mutation drill, the
+        # five-trace lockstep slate, and the paper's 15 golden cells.
         assert main(["verify", "--jobs", "0"]) == 0
         out = capsys.readouterr().out
-        assert "mutation drill: caught" in out
-        assert out.count("differential: no divergence") == 3
+        assert "conformance[paper]: 5 checks passed" in out
+        assert "mutation drill[paper]: caught" in out
+        lockstep = [line for line in out.splitlines()
+                    if line.startswith("lockstep[paper]: ")]
+        assert len(lockstep) == 5
+        assert all("no divergence" in line for line in lockstep)
         # The golden gate re-measures with both engines by default, making
         # it a bit-identity check of the batched core against object.
-        assert ("golden baseline[object]: 13 workload(s) within tolerance"
+        assert ("golden[paper]: 15 cell(s) within tolerance, object engine"
                 in out)
-        assert ("golden baseline[auto]: 13 workload(s) within tolerance"
+        assert ("golden[paper]: 15 cell(s) within tolerance, auto engine"
                 in out)
         # The parallel gate demands bit-identity between serial and the
         # stitched checkpoint-parallel run on every workload.
-        assert ("parallel gate: 13 workload(s) bit-identical serial vs "
+        assert ("parallel[paper]: 13 workload(s) bit-identical serial vs "
                 "4 checkpoint-parallel slices" in out)
 
 
@@ -301,8 +382,8 @@ class TestPredictorCli:
 
     def test_verify_predictor_flags(self):
         args = build_parser().parse_args(["verify"])
-        assert args.predictor is None
-        assert args.predictor_golden == "tests/golden/predictors.json"
+        assert args.predictor == ["paper"]
+        assert not hasattr(args, "predictor_golden")
         args = build_parser().parse_args(
             ["verify", "--predictor", "tage", "ldbp"])
         assert args.predictor == ["tage", "ldbp"]
@@ -322,14 +403,14 @@ class TestPredictorCli:
         assert "CPI" in out
 
     def test_simulate_zoo_writes_the_metrics_snapshot(self, tmp_path):
-        from repro.telemetry.metrics import validate_snapshot
-
         target = tmp_path / "m.json"
         assert main(["simulate", "target-aliasing", "--predictor", "tage",
                      "--scale", "0.01", "--configs", "2",
                      "--metrics", str(target)]) == 0
-        assert target.exists()
-        assert validate_snapshot(json.loads(target.read_text())) == []
+        counters = snapshot_values(target)
+        assert counters["repro_runs_total[simulated]"] == 1
+        assert counters["repro_run_instructions_total"] > 0
+        assert counters["repro_run_branches_total"] > 0
 
     def test_simulate_zoo_compares_configs(self, capsys):
         assert main(["simulate", "target-aliasing", "--predictor", "ldbp",
@@ -370,21 +451,25 @@ class TestPredictorCli:
         assert "conformance[ldbp]: 5 checks passed" in out
         assert "verify: all gates passed" in out
 
-    def test_verify_update_predictor_golden(self, tmp_path, monkeypatch):
-        from repro.oracle.golden import GOLDEN_SCHEMA
-        from repro.predictors import golden
+    def test_verify_update_predictor_golden(self, tmp_path, monkeypatch,
+                                            capsys):
+        # --update-golden rewrites the whole grid, whatever --predictor says.
+        from repro.oracle import golden
 
         def fake_build(scale, config=ZEC12_CONFIG_2, jobs=None):
-            return {"schema": GOLDEN_SCHEMA, "config": config.name,
+            return {"schema": golden.GOLDEN_SCHEMA, "config": config.name,
                     "scale": scale, "tolerances": {"relative": 1e-9},
-                    "predictors": {"paper": {"W": {"cpi": 1.0}}}}
+                    "predictors": {name: {"W": {"cpi": 1.0}}
+                                   for name in ("paper", "tage")}}
 
-        monkeypatch.setattr(golden, "build_predictor_baseline", fake_build)
+        monkeypatch.setattr(golden, "build", fake_build)
         path = tmp_path / "predictors.json"
-        assert main(["verify", "--predictor", "all", "--update-golden",
-                     "--predictor-golden", str(path),
-                     "--golden-scale", "0.04"]) == 0
-        assert golden.load_baseline(path)["scale"] == 0.04
+        assert main(["verify", "--predictor", "tage", "--update-golden",
+                     "--golden", str(path), "--golden-scale", "0.04"]) == 0
+        written = golden.load_baseline(path)
+        assert written["scale"] == 0.04
+        assert set(written["predictors"]) == {"paper", "tage"}
+        assert "2 predictors x 1 workloads" in capsys.readouterr().out
 
 
 class TestAblationCli:
