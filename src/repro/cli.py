@@ -44,9 +44,9 @@ Commands:
   lockstep oracle catches a seeded LRU bug), the lockstep slate against
   the independent reference models, and the golden grid under
   ``tests/golden/predictors.json``; then the checkpoint-parallel gate over
-  the paper stack (every workload serial vs parallel, demanding
-  bit-identity).  ``--update-golden`` regenerates the whole grid after an
-  intended behavior change.
+  the paper stack (every golden-slate workload serial vs parallel,
+  demanding bit-identity).  ``--update-golden`` regenerates the whole grid
+  after an intended behavior change.
 * ``ablation`` — run every registered predictor over a shared workload
   slate (commercial + adversarial) and print the comparison table
   (:mod:`repro.experiments.ablation`); ``--json`` writes the grid as the
@@ -544,6 +544,7 @@ def _cmd_verify(args) -> int:
         build,
         compare,
         compare_parallel,
+        golden_specs,
         load_baseline,
         write_baseline,
     )
@@ -621,7 +622,7 @@ def _cmd_verify(args) -> int:
                      f"engine (scale {baseline['scale']}, {golden_path})")
 
     if not args.skip_parallel:
-        checked = len(workloads) if workloads else len(TABLE4_WORKLOADS)
+        checked = len(golden_specs(workloads))
         gate("parallel", "paper",
              compare_parallel(jobs=args.jobs, workloads=workloads,
                               intervals=args.parallel_intervals,

@@ -222,8 +222,10 @@ class RunSpec:
         so adding each of them left every earlier key valid; a sampled
         estimate, another engine's result, a parallel run or a zoo run
         never shares a slot with the default run, even where ``repro
-        verify`` proves the results equal.  ``backend`` is keyed only with
-        ``parallel`` (by resolved name): a serial run never uses it.
+        verify`` proves the results equal.  ``engine_mode`` is keyed for
+        the paper stack only: the zoo has one engine and ignores it.
+        ``backend`` is keyed only with ``parallel`` (by resolved name): a
+        serial run never uses it.
         ``audit`` and ``checkpoint_dir`` are never keyed: they change what
         is checked and how long a run takes, never its result.  The
         digests of older trees are pinned in
@@ -234,7 +236,7 @@ class RunSpec:
                         self.resolved_scale()))
         if self.sampling is not None:
             payload += repr(("sampled", self.sampling.cache_key()))
-        if self.engine_mode != "object":
+        if self.engine_mode != "object" and self.predictor == "paper":
             payload += repr(("engine", self.engine_mode))
         if self.parallel is not None:
             payload += repr(("parallel", self.parallel.cache_key(),
@@ -337,8 +339,6 @@ def _parallel_info(stitched: ParallelResult) -> dict:
         "plan_key": list(stitched.plan.cache_key()),
         "backend": stitched.backend,
         "slices": len(stitched.outcomes),
-        "exact": stitched.exact,
-        "warm_fallbacks": stitched.warm_fallbacks,
         "produced_records": stitched.produced_records,
         "checkpoints_loaded": stitched.checkpoints_loaded,
         "checkpoints_saved": stitched.checkpoints_saved,

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from repro.core.config import ZEC12_CONFIG_2, PredictorConfig
 from repro.experiments.common import RunResult
-from repro.workloads.catalog import TABLE4_WORKLOADS
+from repro.workloads.catalog import TABLE4_WORKLOADS, WorkloadSpec
 
 #: Schema version of the baseline file.
 GOLDEN_SCHEMA = 1
@@ -70,6 +70,24 @@ def workload_metrics(run: RunResult) -> dict:
     }
 
 
+def golden_specs(
+    workloads: Sequence[str] | None = None,
+) -> list[WorkloadSpec]:
+    """Catalog specs of ``workloads`` (exact names), in the given order.
+
+    ``workloads`` defaults to :data:`GOLDEN_WORKLOADS`; a name the catalog
+    does not know is left out.  The golden grid and the parallel gate both
+    draw their workloads here.
+    """
+    from repro.workloads.adversarial import ADVERSARIAL_WORKLOADS
+
+    catalog = {spec.name: spec
+               for spec in (*TABLE4_WORKLOADS, *ADVERSARIAL_WORKLOADS)}
+    return [catalog[name]
+            for name in (GOLDEN_WORKLOADS if workloads is None else workloads)
+            if name in catalog]
+
+
 def measure(
     scale: float = GOLDEN_SCALE,
     config: PredictorConfig = ZEC12_CONFIG_2,
@@ -84,24 +102,17 @@ def measure(
     names) to :data:`GOLDEN_WORKLOADS`; a name the catalog does not know is
     left out of the result.  ``engine_mode`` selects the paper stack's
     engine: the grid is recorded by the object engine, so a pass under
-    ``auto`` doubles as the engine-equivalence check.  The zoo has one
-    engine, so its cells always run as object-engine plans and an ``auto``
-    pass finds them in the result cache.
+    ``auto`` doubles as the engine-equivalence check.
     """
     from repro.experiments.pool import RunSpec, run_many
-    from repro.predictors.registry import DEFAULT_PREDICTOR, predictor_names
-    from repro.workloads.adversarial import ADVERSARIAL_WORKLOADS
+    from repro.predictors.registry import predictor_names
 
-    catalog = {spec.name: spec
-               for spec in (*TABLE4_WORKLOADS, *ADVERSARIAL_WORKLOADS)}
+    selected = golden_specs(workloads)
     specs = [
-        RunSpec(workload=catalog[workload], config=config, scale=scale,
-                predictor=name,
-                engine_mode=(engine_mode if name == DEFAULT_PREDICTOR
-                             else "object"))
+        RunSpec(workload=workload, config=config, scale=scale,
+                predictor=name, engine_mode=engine_mode)
         for name in (predictor_names() if predictors is None else predictors)
-        for workload in (GOLDEN_WORKLOADS if workloads is None else workloads)
-        if workload in catalog
+        for workload in selected
     ]
     grid: dict[str, dict[str, dict]] = {}
     for spec, run in zip(specs, run_many(specs, jobs=jobs)):
@@ -240,7 +251,8 @@ def compare_parallel(
 ) -> list[str]:
     """Prove exact-mode checkpoint-parallel runs equal their serial twins.
 
-    Runs every selected catalog workload twice — serially and cut into
+    Runs every selected workload (:func:`golden_specs`: the golden slate
+    by default, exact names otherwise) twice — serially and cut into
     ``intervals`` checkpoint-parallel slices over ``backend`` — and
     demands the :class:`RunResult` pairs compare **equal**: same counters,
     same CPI, same outcome fractions, bit for bit.  Exact-mode parallelism
@@ -255,10 +267,7 @@ def compare_parallel(
     from repro.experiments.pool import RunSpec, run_many
     from repro.sampling import ParallelPlan
 
-    selected = [
-        spec for spec in TABLE4_WORKLOADS
-        if workloads is None or spec.name in workloads
-    ]
+    selected = golden_specs(workloads)
     if not selected:
         return ["no workloads selected for the parallel gate"]
     plan = ParallelPlan(intervals=intervals)
@@ -276,13 +285,6 @@ def compare_parallel(
     for spec, serial, parallel in zip(
         selected, runs[:len(selected)], runs[len(selected):]
     ):
-        info = parallel.parallel or {}
-        if not info.get("exact", False):
-            problems.append(
-                f"{spec.name}: parallel run degraded to functional warming "
-                f"({info.get('warm_fallbacks', '?')} fallback slice(s)) — "
-                f"not exact, cannot gate on bit-identity"
-            )
         if serial != parallel:
             problems.append(
                 f"{spec.name}: parallel({intervals}) result differs from "

@@ -26,17 +26,15 @@ from repro.sampling.estimate import (
     error_report,
     ratio_estimate,
 )
-from repro.sampling.plan import Interval, SamplingPlan
+from repro.sampling.plan import Interval, SamplingPlan, plan_slices
 from repro.sampling.runner import IntervalMeasurement, SampledResult, run_sampled
 
 # Imported last: parallel builds on the runner/checkpoint surface above.
 from repro.sampling.parallel import (  # noqa: E402
-    IntervalSlice,
     ParallelPlan,
     ParallelResult,
     SliceOutcome,
     TraceSource,
-    plan_slices,
     run_parallel,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_CI_BOUND",
     "Interval",
     "IntervalMeasurement",
-    "IntervalSlice",
     "MetricEstimate",
     "ParallelPlan",
     "ParallelResult",

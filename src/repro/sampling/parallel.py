@@ -1,29 +1,35 @@
 """Checkpoint-parallel interval simulation.
 
 Splits one long trace into K independent interval slices and simulates
-them concurrently, stitching per-slice counter deltas back together with
-the same ratio-of-sums estimator the sampled runner uses.  Two modes:
+them concurrently.  Every slice reports
+:class:`~repro.sampling.runner.IntervalMeasurement` records measured by the
+same window feed as :func:`~repro.sampling.runner.run_sampled`, and the
+work is cut by the one partition, :func:`~repro.sampling.plan.plan_slices`.
+Two modes:
 
 * **exact** (no sampling plan): the trace is cut into K contiguous
   slices.  A checkpoint-producer pass feeds the detailed model once and
   snapshots :meth:`~repro.engine.simulator.Simulator.state_dict` at each
-  slice boundary; every worker then resumes from the exact state the
-  serial run would have reached there, so each per-slice counter delta is
-  the serial run's delta and the stitched result is **bit-identical** to
-  the serial run (the last slice's cumulative state *is* the serial end
-  state).  The producer pass is the cold-run cost; with a
-  :class:`~repro.sampling.checkpoint.CheckpointStore` attached the
-  boundary states persist, and reruns — different engine, telemetry off,
-  bisection sweeps over anything downstream of the trace — pay only the
-  fan-out, giving near-linear scaling in K.
+  slice boundary, and each slice's task carries that state to its worker,
+  which resumes from exactly the state the serial run reached there.  So
+  each per-slice counter delta is the serial run's delta and the stitched
+  result is **bit-identical** to the serial run (the last slice's
+  cumulative state *is* the serial end state).  The producer pass is the
+  cold-run cost; with a :class:`~repro.sampling.checkpoint.CheckpointStore`
+  attached the boundary states persist, so reruns — different engine,
+  telemetry off, bisection sweeps over anything downstream of the trace —
+  load them in the producer instead of stepping and pay only the fan-out,
+  giving near-linear scaling in K.  The producer is the only reader of
+  exact boundary states; workers never open the store.
 * **sampled** (with a :class:`~repro.sampling.plan.SamplingPlan`): the
   plan's measured intervals are partitioned into K contiguous chunks and
   each worker functionally warms from the trace start (or its chunk's
   checkpoint) before running its share of the plan through the same
-  interval core as :func:`~repro.sampling.runner.run_sampled`.  Warming
-  lineage differs from the serial sampled run (a worker's prefix is
-  warmed, never detailed), so the stitched estimate is CI-bounded, not
-  bit-identical — the same contract as sampled-vs-full.
+  interval core as :func:`~repro.sampling.runner.run_sampled`, and the
+  stitched measurements go through the same estimator.  Warming lineage
+  differs from the serial sampled run (a worker's prefix is warmed, never
+  detailed), so the stitched estimate is CI-bounded, not bit-identical —
+  the same contract as sampled-vs-full.
 
 Workers dispatch through the pluggable
 :class:`~repro.experiments.backends.Backend` seam (``serial``,
@@ -37,8 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,14 +53,13 @@ from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.engine.params import DEFAULT_TIMING, TimingParams
 from repro.engine.simulator import SimulationResult, Simulator
 from repro.sampling.checkpoint import CheckpointStore
-from repro.sampling.estimate import confidence_interval, ratio_estimate
-from repro.sampling.plan import Interval, SamplingPlan
+from repro.sampling.plan import Interval, SamplingPlan, plan_slices
 from repro.sampling.runner import (
     IntervalMeasurement,
     SampledResult,
-    _diff_counters,
+    _estimate,
     _execute_intervals,
-    _extrapolate,
+    _measured_feed,
     _TraceCursor,
 )
 from repro.telemetry.distributed import ORCHESTRATOR, TelemetryRelay
@@ -65,10 +69,6 @@ from repro.telemetry.monitor import StatusBoard, shutdown_sweep
 from repro.telemetry.tracer import Tracer as _Tracer
 from repro.trace.reader import open_trace
 from repro.workloads.catalog import WorkloadSpec, default_scale
-
-#: Records per detailed block an exact slice feeds; a worker heartbeats
-#: on the status board after each full block.
-_BEAT_RECORDS = 8192
 
 #: Count-shaped histogram bounds for per-slice record volumes.
 _RECORD_BUCKETS = (100.0, 1_000.0, 10_000.0, 100_000.0,
@@ -169,38 +169,6 @@ class ParallelPlan:
         return f"checkpoint-parallel: {self.intervals} interval slice(s)"
 
 
-@dataclass(frozen=True)
-class IntervalSlice:
-    """One contiguous worker slice of the trace (exact mode)."""
-
-    index: int
-    #: First record this worker measures.
-    start: int
-    #: One past the last record this worker measures.
-    stop: int
-
-
-def plan_slices(total_records: int, workers: int) -> list[IntervalSlice]:
-    """Cut ``[0, total_records)`` into up to ``workers`` contiguous slices.
-
-    Slices are near-equal (the remainder spreads one record at a time over
-    the leading slices) and never empty; a trace shorter than ``workers``
-    records yields fewer slices.
-    """
-    if total_records <= 0:
-        return []
-    workers = max(1, min(workers, total_records))
-    base, remainder = divmod(total_records, workers)
-    slices = []
-    start = 0
-    for index in range(workers):
-        length = base + (1 if index < remainder else 0)
-        slices.append(IntervalSlice(index=index, start=start,
-                                    stop=start + length))
-        start += length
-    return slices
-
-
 #: Checkpoint plan-key prefixes.  Exact boundary states depend only on
 #: (model, trace, boundary record) — they are the serial detailed state —
 #: so they key by boundary, shareable across K.  Sampled chunk lineages
@@ -219,17 +187,20 @@ class _SliceTask:
     source: TraceSource
     config: PredictorConfig
     timing: TimingParams
-    slice: IntervalSlice
+    index: int
     mode: str  # "exact" | "sampled"
-    #: The sampling-plan intervals this worker runs (sampled mode only).
-    chunk: tuple = ()
-    sampling: SamplingPlan | None = None
-    parallel_key: tuple = _EXACT_KEY
+    #: Exact mode: the one slice (``warm_start == start``).  Sampled mode:
+    #: the chunk of sampling-plan intervals this worker runs.
+    intervals: tuple[Interval, ...]
+    #: Exact mode: the producer's state at the slice start (``None`` for
+    #: the slice at record 0, where the serial run also starts cold).
+    state: dict | None = None
+    #: Sampled mode: the chunk checkpoint lineage (store directory, trace
+    #: identity, plan key); exact workers never open the store.
     checkpoint_dir: str | None = None
     trace_key: str | None = None
+    plan_key: tuple | None = None
     engine_mode: str = "object"
-    #: Exact boundary state passed inline when no store is attached.
-    inline_state: dict | None = None
     is_last: bool = False
     #: Telemetry relay directory this worker streams its shard into
     #: (``None`` = relay off; the zero-cost default).
@@ -245,53 +216,26 @@ class SliceOutcome:
     """What one worker slice produced."""
 
     index: int
+    #: First record the worker touched in detail (its first warm start).
     start: int
     stop: int
-    #: Whether the worker resumed from a checkpoint (or started at 0);
-    #: False means it fell back to functional warming.
-    from_checkpoint: bool
-    #: Measured counter delta of the slice (exact mode).
-    delta: dict | None = None
-    #: Per-interval measurements (sampled mode).
-    measurements: list[IntervalMeasurement] = field(default_factory=list)
+    #: One measurement per exact slice; one per plan interval in sampled
+    #: mode.
+    measurements: list[IntervalMeasurement]
     #: Full finished result — only the last slice carries one (its end
     #: state is the whole run's end state).
     final: SimulationResult | None = None
     detailed_records: int = 0
+    #: Chunk checkpoint store traffic (sampled mode only).
     checkpoints_loaded: int = 0
     checkpoints_saved: int = 0
-    #: CPU seconds this worker spent (open + warm + simulate), measured
-    #: inside the worker with ``time.process_time`` so concurrent slices
+    #: CPU seconds this worker spent (open + simulate), measured inside
+    #: the worker with ``time.process_time`` so concurrent slices
     #: time-sharing a core do not inflate each other.  With one core per
     #: slice, the fan-out's wall clock converges to the slowest slice.
+    #: A shipped start state is unpickled before the task runs, so it is
+    #: not counted here.
     seconds: float = 0.0
-
-
-def _warm_start_state(sim: Simulator, cursor: _TraceCursor,
-                      task: _SliceTask,
-                      store: CheckpointStore | None) -> bool:
-    """Bring ``sim`` to the slice start; True when the state was exact.
-
-    Tries the inline state, then the store; on a miss (or a corrupt /
-    foreign checkpoint) falls back to functionally warming the whole
-    prefix — CI-grade, not exact, which the caller records.
-    """
-    start = task.slice.start
-    if start == 0:
-        return True  # the serial run also starts cold here
-    state = task.inline_state
-    if state is None and store is not None:
-        state = store.load(sim.model_fingerprint(), task.trace_key,
-                           _EXACT_KEY, start)
-    if state is not None:
-        try:
-            sim.load_state_dict(state)
-            cursor.skip_to(start)
-            return True
-        except ValueError:
-            pass
-    sim.warm_run(cursor.window(0, start))
-    return False
 
 
 def _slice_metrics(registry, outcome: SliceOutcome) -> None:
@@ -302,22 +246,17 @@ def _slice_metrics(registry, outcome: SliceOutcome) -> None:
     summed across worker shards, ``repro_slice_instructions_total`` and
     the ``repro_slice_records`` histogram totals telescope to the serial
     run's whole-trace numbers (exact lineage), which the round-trip tests
-    assert.
+    assert.  Store traffic exists only for sampled chunks: every chunk
+    interval either loads its state (a hit) or warms and saves it (a miss).
     """
-    if outcome.delta is not None:
-        deltas = [outcome.delta]
-    else:
-        deltas = [m.delta for m in outcome.measurements]
-    instructions = sum(d.get("instructions", 0) for d in deltas)
-    branches = sum(d.get("branches", 0) for d in deltas)
     registry.counter(
         "repro_slice_instructions_total",
         "instructions simulated by this worker's slices",
-    ).inc(instructions)
+    ).inc(sum(m.instructions for m in outcome.measurements))
     registry.counter(
         "repro_slice_branches_total",
         "branches simulated by this worker's slices",
-    ).inc(branches)
+    ).inc(sum(m.branches for m in outcome.measurements))
     registry.histogram(
         "repro_slice_records",
         "records stepped in detail per slice",
@@ -334,9 +273,8 @@ def _slice_metrics(registry, outcome: SliceOutcome) -> None:
     )
     if outcome.checkpoints_loaded:
         loads.inc(outcome.checkpoints_loaded, result="hit")
-    if not outcome.from_checkpoint:
-        loads.inc(result="miss")
     if outcome.checkpoints_saved:
+        loads.inc(outcome.checkpoints_saved, result="miss")
         registry.counter(
             "repro_checkpoint_saves_total",
             "checkpoint states saved",
@@ -344,13 +282,13 @@ def _slice_metrics(registry, outcome: SliceOutcome) -> None:
 
 
 def _run_slice(task: _SliceTask) -> SliceOutcome:
-    """Fan-out worker body: simulate one slice from its warmed state.
+    """Fan-out worker body: simulate one slice from its start state.
 
     Module-level so it pickles under every backend.  Opens its own trace
     (streaming where possible — a worker decodes only the records it
-    touches), resumes from checkpoint/inline state or functionally warms,
-    then either feeds its slice in detail (exact mode) or runs its chunk
-    of the sampling plan through the shared interval core (sampled mode).
+    touches), then either resumes from the producer's state and feeds its
+    slice in detail (exact mode) or runs its chunk of the sampling plan
+    through the shared interval core (sampled mode).
 
     With a relay attached (``task.relay_dir``) the worker streams its
     telemetry into a per-(run, worker, slice) shard and publishes a
@@ -362,11 +300,10 @@ def _run_slice(task: _SliceTask) -> SliceOutcome:
     session = None
     if task.relay_dir is not None:
         relay = TelemetryRelay(task.relay_dir, task.relay_run)
-        session = relay.worker_session(f"w{task.slice.index}",
-                                       task.slice.index)
+        session = relay.worker_session(f"w{task.index}", task.index)
     telemetry = session.telemetry if session is not None else None
     board = StatusBoard.from_env()
-    label = task.status_label or f"slice {task.slice.index}"
+    label = task.status_label or f"slice {task.index}"
     try:
         outcome = _slice_body(task, telemetry, board, label)
         if session is not None:
@@ -385,82 +322,60 @@ def _run_slice(task: _SliceTask) -> SliceOutcome:
 def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
     """The slice simulation proper (observers threaded, both optional)."""
     started = time.process_time()
+    first, last = task.intervals[0], task.intervals[-1]
+    span = last.stop - first.warm_start
     trace = task.source.open()
     close = getattr(trace, "close", None)
     try:
         sim = Simulator(config=task.config, timing=task.timing,
                         engine_mode=task.engine_mode)
         cursor = _TraceCursor(trace)
-        store = (CheckpointStore(task.checkpoint_dir)
-                 if task.checkpoint_dir is not None else None)
-        if task.mode == "sampled":
-            if board is not None:
-                board.beat(label, "measuring", done=0,
-                           total=task.slice.stop - task.slice.start)
-            if telemetry is not None:
-                sim.telemetry = telemetry
-                telemetry.attach(sim)
-            measurements, detailed, loaded, saved = _execute_intervals(
-                sim, cursor, task.chunk,
-                telemetry=telemetry,
-                store=store, trace_key=task.trace_key,
-                plan_key=task.parallel_key,
-            )
-            final = sim.finish() if task.is_last else None
-            return SliceOutcome(
-                index=task.slice.index,
-                start=task.slice.start,
-                stop=task.slice.stop,
-                from_checkpoint=(measurements[0].from_checkpoint
-                                 if measurements else True),
-                measurements=measurements,
-                final=final,
-                detailed_records=detailed,
-                checkpoints_loaded=loaded,
-                checkpoints_saved=saved,
-                seconds=time.process_time() - started,
-            )
-        if board is not None and task.slice.start > 0:
-            board.beat(label, "warming", done=0,
-                       total=task.slice.stop - task.slice.start)
-        exact = _warm_start_state(sim, cursor, task, store)
+        if task.state is not None:
+            sim.load_state_dict(task.state)
+            cursor.skip_to(first.start)
         if telemetry is not None:
-            # Attached after warm start so the shard carries the slice's
-            # own events, not a functionally-warmed prefix's.
+            # Attached after the start state loads, so the shard carries
+            # the slice's own events only.
             sim.telemetry = telemetry
             telemetry.attach(sim)
-            telemetry.on_interval(sim._cycle, task.slice.index,
-                                  task.slice.start, "measure")
-        span = task.slice.stop - task.slice.start
         if board is not None:
             board.beat(label, "measuring", done=0, total=span)
-        before = sim.counters.state_dict()
-        cycle_before = sim._cycle
-        fed = 0
-        window = cursor.window(task.slice.start, task.slice.stop)
-        while True:
-            block = list(islice(window, _BEAT_RECORDS))
-            if not block:
-                break
-            sim.feed(block)
-            fed += len(block)
-            if board is not None and len(block) == _BEAT_RECORDS:
-                board.beat(label, "measuring", done=fed, total=span)
-        delta = _diff_counters(before, sim.counters.state_dict())
-        delta["cycles"] = sim._cycle - cycle_before
-        if telemetry is not None:
-            telemetry.on_interval(sim._cycle, task.slice.index,
-                                  task.slice.stop, "end")
-        final = sim.finish() if task.is_last else None
+        loaded = saved = 0
+        if task.mode == "sampled":
+            store = (CheckpointStore(task.checkpoint_dir)
+                     if task.checkpoint_dir is not None else None)
+            measurements, detailed, loaded, saved = _execute_intervals(
+                sim, cursor, task.intervals, telemetry=telemetry,
+                store=store, trace_key=task.trace_key,
+                plan_key=task.plan_key,
+            )
+        else:
+            if telemetry is not None:
+                telemetry.on_interval(sim._cycle, task.index, first.start,
+                                      "measure")
+            beat = None
+            if board is not None:
+                def beat(fed: int) -> None:
+                    board.beat(label, "measuring", done=fed, total=span)
+            delta = _measured_feed(sim, cursor.window(first.start, last.stop),
+                                   beat)
+            if telemetry is not None:
+                telemetry.on_interval(sim._cycle, task.index, last.stop,
+                                      "end")
+            measurements = [IntervalMeasurement(
+                index=task.index, start=first.start, stop=last.stop,
+                from_checkpoint=task.state is not None, delta=delta,
+            )]
+            detailed = span
         return SliceOutcome(
-            index=task.slice.index,
-            start=task.slice.start,
-            stop=task.slice.stop,
-            from_checkpoint=exact,
-            delta=delta,
-            final=final,
-            detailed_records=fed,
-            checkpoints_loaded=1 if (exact and task.slice.start > 0) else 0,
+            index=task.index,
+            start=first.warm_start,
+            stop=last.stop,
+            measurements=measurements,
+            final=sim.finish() if task.is_last else None,
+            detailed_records=detailed,
+            checkpoints_loaded=loaded,
+            checkpoints_saved=saved,
             seconds=time.process_time() - started,
         )
     finally:
@@ -491,22 +406,17 @@ class ParallelResult:
     #: Records the checkpoint producer fed in detail this run (0 when
     #: every boundary state came from the store — the warm-rerun case).
     produced_records: int
-    #: Slices that had to fall back to functional warming (exact mode:
-    #: nonzero means the run degraded to CI-grade, see ``exact``).
-    warm_fallbacks: int
+    #: Exact mode: boundary states the producer read from the store.
+    #: Sampled mode: chunk states the workers read.
     checkpoints_loaded: int
     checkpoints_saved: int
     #: Sampled-mode estimates in :class:`SampledResult` form (``None`` in
     #: exact mode), for :func:`~repro.sampling.estimate.error_report`.
     sampled: SampledResult | None = None
-    #: Wall-clock seconds of the checkpoint-producer pass (0.0 when every
-    #: boundary came from the store, or in sampled mode).
+    #: Wall-clock seconds of the checkpoint-producer pass, stepping and
+    #: store reads alike (a warm rerun spends its boundary loads here);
+    #: 0.0 in sampled mode.
     produce_seconds: float = 0.0
-
-    @property
-    def exact(self) -> bool:
-        """True when every slice resumed from exact lineage (bit-identical)."""
-        return self.mode == "exact" and self.warm_fallbacks == 0
 
     @property
     def critical_path_seconds(self) -> float:
@@ -529,74 +439,57 @@ class ParallelResult:
                 f"{self.backend} backend — {len(self.outcomes)} slice(s), "
                 f"{self.checkpoints_loaded} checkpoint(s) loaded, "
                 f"{self.checkpoints_saved} saved, "
-                f"{self.warm_fallbacks} warm fallback(s), "
                 f"producer stepped {self.produced_records:,} record(s)")
 
 
 def _produce_checkpoints(
     trace,
-    slices: list[IntervalSlice],
+    slices: list[Interval],
     sim: Simulator,
     store: CheckpointStore | None,
     trace_key: str | None,
     telemetry: "Telemetry | None",
-) -> tuple[dict[int, dict], int, int]:
-    """Ensure an exact state exists for every interior slice boundary.
+) -> tuple[dict[int, dict], int, int, int]:
+    """The exact state at every interior slice boundary.
 
     One detailed pass of the fresh ``sim`` from record 0, snapshotting at
     each boundary — except that boundaries whose state already sits in
     ``store`` are *loaded* and skipped over (a seek, not a scan), so a
-    warmed store makes this pass free.  States for a store-less run are
-    returned inline, keyed by boundary record.
+    warmed store makes this pass free.  Every state, computed or loaded,
+    travels to its slice inside the task: the producer is the only reader
+    of exact boundary states.
 
-    Returns ``(inline_states, produced_records, saved)``.
+    Returns ``(states, produced_records, loaded, saved)``, ``states``
+    keyed by boundary record.
     """
-    boundaries = [s.start for s in slices[1:]]
-    if not boundaries:
-        return {}, 0, 0
     model = sim.model_fingerprint()
     use_store = store is not None and trace_key is not None
     cursor = _TraceCursor(trace)
-    inline: dict[int, dict] = {}
-    produced = 0
-    saved = 0
-    for boundary in boundaries:
-        state = None
-        if use_store:
-            state = store.load(model, trace_key, _EXACT_KEY, boundary)
+    states: dict[int, dict] = {}
+    produced = loaded = saved = 0
+    for index, piece in enumerate(slices[1:]):
+        boundary = piece.start
+        state = (store.load(model, trace_key, _EXACT_KEY, boundary)
+                 if use_store else None)
         if state is not None:
             try:
                 sim.load_state_dict(state)
-                cursor.skip_to(boundary)
-                continue
             except ValueError:
                 state = None  # foreign/stale: recompute from position
-        produced += boundary - cursor.position
-        sim.feed(cursor.window(cursor.position, boundary))
-        snapshot = sim.state_dict()
-        if use_store:
-            store.save(model, trace_key, _EXACT_KEY, boundary, snapshot)
-            saved += 1
+        if state is not None:
+            loaded += 1
+            cursor.skip_to(boundary)
         else:
-            inline[boundary] = snapshot
-        if telemetry is not None:
-            telemetry.on_interval(sim._cycle, boundaries.index(boundary),
-                                  boundary, "produce")
-    return inline, produced, saved
-
-
-def _chunk_intervals(intervals: list[Interval],
-                     workers: int) -> list[tuple[Interval, ...]]:
-    """Partition a sampling plan's intervals into contiguous chunks."""
-    workers = max(1, min(workers, len(intervals)))
-    base, remainder = divmod(len(intervals), workers)
-    chunks = []
-    start = 0
-    for index in range(workers):
-        length = base + (1 if index < remainder else 0)
-        chunks.append(tuple(intervals[start:start + length]))
-        start += length
-    return chunks
+            produced += boundary - cursor.position
+            sim.feed(cursor.window(cursor.position, boundary))
+            state = sim.state_dict()
+            if use_store:
+                store.save(model, trace_key, _EXACT_KEY, boundary, state)
+                saved += 1
+            if telemetry is not None:
+                telemetry.on_interval(sim._cycle, index, boundary, "produce")
+        states[boundary] = state
+    return states, produced, loaded, saved
 
 
 def run_parallel(
@@ -626,8 +519,8 @@ def run_parallel(
     (default: ``$REPRO_BACKEND`` or ``process``); ``jobs`` caps in-flight
     workers (default: one per slice).  ``checkpoint_store`` plus a stable
     ``trace_key`` (default: ``source.identity()``) persist boundary/chunk
-    states across runs; without a store, exact mode ships the producer's
-    states to the workers inline.
+    states across runs.  Exact mode ships every boundary state to its
+    slice inside the task, so only the producer reads the store.
 
     ``telemetry`` observes the orchestrator: ``interval`` events with
     phases ``produce`` (a boundary state snapshotted) and ``end`` (a slice
@@ -657,77 +550,59 @@ def run_parallel(
         telemetry = _Telemetry(tracer=_Tracer())
     if trace_key is None and checkpoint_store is not None:
         trace_key = source.identity()
+    mode = "sampled" if sampling is not None else "exact"
+    states: dict[int, dict] = {}
+    produced = loaded = saved = 0
+    produce_seconds = 0.0
     trace = source.open()
     close = getattr(trace, "close", None)
     try:
         total = len(trace)
         if not total:
             raise ValueError("cannot parallel-simulate an empty trace")
-        mode = "sampled" if sampling is not None else "exact"
-        if mode == "sampled":
+        if sampling is not None:
             intervals = sampling.intervals(total)
             if not intervals:
                 raise ValueError(
                     f"trace of {total} records is shorter than one "
                     f"warmup+interval footprint of the sampling plan"
                 )
-            chunks = _chunk_intervals(intervals, plan.intervals)
-            parallel_key = _sampled_key(plan, sampling)
-            tasks = [
-                _SliceTask(
-                    source=source, config=config, timing=timing,
-                    slice=IntervalSlice(index=i, start=chunk[0].warm_start,
-                                        stop=chunk[-1].stop),
-                    mode="sampled", chunk=chunk, sampling=sampling,
-                    parallel_key=parallel_key,
-                    checkpoint_dir=(str(checkpoint_store.directory)
-                                    if checkpoint_store is not None else None),
-                    trace_key=trace_key, engine_mode=engine_mode,
-                    is_last=(i == len(chunks) - 1),
-                    relay_dir=(str(relay.directory)
-                               if relay is not None else None),
-                    relay_run=relay.run_id if relay is not None else "run",
-                    status_label=f"{label}/s{i}" if status_label else "",
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-            inline_states: dict[int, dict] = {}
-            produced = 0
-            produced_saved = 0
-            produce_seconds = 0.0
+            chunks = [tuple(intervals[s.start:s.stop])
+                      for s in plan_slices(len(intervals), plan.intervals)]
         else:
             slices = plan_slices(total, plan.intervals)
+            chunks = [(s,) for s in slices]
             if board is not None and len(slices) > 1:
                 board.beat(label, "warming", done=0, total=total)
             produce_started = time.perf_counter()
-            inline_states, produced, produced_saved = _produce_checkpoints(
+            states, produced, loaded, saved = _produce_checkpoints(
                 trace, slices,
                 Simulator(config=config, timing=timing,
                           engine_mode=engine_mode),
                 checkpoint_store, trace_key, telemetry,
             )
             produce_seconds = time.perf_counter() - produce_started
-            tasks = [
-                _SliceTask(
-                    source=source, config=config, timing=timing,
-                    slice=s, mode="exact",
-                    checkpoint_dir=(str(checkpoint_store.directory)
-                                    if checkpoint_store is not None else None),
-                    trace_key=trace_key, engine_mode=engine_mode,
-                    inline_state=inline_states.get(s.start),
-                    is_last=(s.index == len(slices) - 1),
-                    relay_dir=(str(relay.directory)
-                               if relay is not None else None),
-                    relay_run=relay.run_id if relay is not None else "run",
-                    status_label=(f"{label}/s{s.index}"
-                                  if status_label else ""),
-                )
-                for s in slices
-            ]
     finally:
         if close is not None:
             close()
 
+    chunk_store = sampling is not None and checkpoint_store is not None
+    tasks = [
+        _SliceTask(
+            source=source, config=config, timing=timing, index=i, mode=mode,
+            intervals=chunk, state=states.get(chunk[0].start),
+            checkpoint_dir=(str(checkpoint_store.directory)
+                            if chunk_store else None),
+            trace_key=trace_key,
+            plan_key=(_sampled_key(plan, sampling)
+                      if sampling is not None else None),
+            engine_mode=engine_mode, is_last=(i == len(chunks) - 1),
+            relay_dir=str(relay.directory) if relay is not None else None,
+            relay_run=relay.run_id if relay is not None else "run",
+            status_label=f"{label}/s{i}" if status_label else "",
+        )
+        for i, chunk in enumerate(chunks)
+    ]
     workers = len(tasks) if jobs is None else max(1, jobs)
     sweep_labels = [t.status_label for t in tasks if t.status_label]
     sweep_labels.append(label)
@@ -745,8 +620,8 @@ def run_parallel(
             telemetry.tracer.write_jsonl(shard)
         else:
             shard.write_text("")
-        expected = [relay.shard_path(f"w{t.slice.index}",
-                                     t.slice.index).name for t in tasks]
+        expected = [relay.shard_path(f"w{t.index}", t.index).name
+                    for t in tasks]
         expected.append(shard.name)
         relay.write_manifest(expected)
     REGISTRY.counter(
@@ -766,89 +641,37 @@ def run_parallel(
     for outcome in outcomes:
         slice_seconds.observe(outcome.seconds)
 
-    last = outcomes[-1]
-    warm_fallbacks = sum(1 for o in outcomes if not o.from_checkpoint)
-    loaded = sum(o.checkpoints_loaded for o in outcomes)
-    saved = produced_saved + sum(o.checkpoints_saved for o in outcomes)
-
-    if mode == "sampled":
-        measurements = [m for o in outcomes for m in o.measurements]
-        cpi = ratio_estimate([m.cycles for m in measurements],
-                             [m.instructions for m in measurements])
-        bad_fraction = ratio_estimate(
-            [m.bad_outcomes for m in measurements],
-            [m.branches for m in measurements])
-        _, cpi_ci = confidence_interval(
-            [m.cpi for m in measurements if m.instructions])
-        _, bad_ci = confidence_interval(
-            [m.bad_outcome_fraction for m in measurements if m.branches])
-        counters = _extrapolate(measurements, total, cpi)
-        raw = last.final
-        result = SimulationResult(
-            config_name=raw.config_name,
-            counters=counters,
-            search_stats=raw.search_stats,
-            btbp_stats=raw.btbp_stats,
-            btb2_stats=raw.btb2_stats,
-            preload_stats=raw.preload_stats,
-            icache_stats=raw.icache_stats,
-        )
-        sampled = SampledResult(
-            config_name=raw.config_name,
-            plan=sampling,
-            total_records=total,
-            measurements=measurements,
-            result=result,
-            cpi=cpi,
-            cpi_ci=cpi_ci,
-            bad_outcome_fraction=bad_fraction,
-            bad_outcome_ci=bad_ci,
-            measured_instructions=sum(m.instructions for m in measurements),
+    loaded += sum(o.checkpoints_loaded for o in outcomes)
+    saved += sum(o.checkpoints_saved for o in outcomes)
+    final = outcomes[-1].final
+    sampled = None
+    if sampling is None:
+        # The last slice's finished result is the serial result (its
+        # loaded state carried the cumulative counters of every earlier
+        # record), so bit-identity needs no float re-assembly.
+        result = final
+        cpi, cpi_ci = final.cpi, 0.0
+        bad_fraction, bad_ci = final.bad_outcome_fraction, 0.0
+    else:
+        sampled = _estimate(
+            final, sampling, total,
+            [m for o in outcomes for m in o.measurements],
             detailed_records=sum(o.detailed_records for o in outcomes),
-            checkpoints_loaded=loaded,
-            checkpoints_saved=saved,
-        )
-        return ParallelResult(
-            config_name=raw.config_name, plan=plan, mode=mode,
-            backend=chosen.name, total_records=total, outcomes=outcomes,
-            result=result, cpi=cpi, cpi_ci=cpi_ci,
-            bad_outcome_fraction=bad_fraction, bad_outcome_ci=bad_ci,
-            produced_records=produced, warm_fallbacks=warm_fallbacks,
             checkpoints_loaded=loaded, checkpoints_saved=saved,
-            sampled=sampled,
         )
-
-    # Exact mode: the last slice's finished result is the serial result
-    # (its loaded state carried the cumulative counters of every earlier
-    # record), so bit-identity needs no float re-assembly.  The per-slice
-    # deltas feed the same ratio-of-sums estimator as sampled mode; with
-    # exact lineage the integer sums telescope to the serial totals, which
-    # tests assert against the final counters.
-    result = last.final
+        result = sampled.result
+        cpi, cpi_ci = sampled.cpi, sampled.cpi_ci
+        bad_fraction = sampled.bad_outcome_fraction
+        bad_ci = sampled.bad_outcome_ci
     return ParallelResult(
-        config_name=result.config_name, plan=plan, mode=mode,
+        config_name=final.config_name, plan=plan, mode=mode,
         backend=chosen.name, total_records=total, outcomes=outcomes,
-        result=result,
-        cpi=result.cpi,
-        cpi_ci=0.0 if warm_fallbacks == 0 else ratio_ci_of(outcomes),
-        bad_outcome_fraction=result.counters.bad_outcome_fraction,
-        bad_outcome_ci=0.0,
-        produced_records=produced, warm_fallbacks=warm_fallbacks,
+        result=result, cpi=cpi, cpi_ci=cpi_ci,
+        bad_outcome_fraction=bad_fraction, bad_outcome_ci=bad_ci,
+        produced_records=produced,
         checkpoints_loaded=loaded, checkpoints_saved=saved,
-        produce_seconds=produce_seconds,
+        sampled=sampled, produce_seconds=produce_seconds,
     )
-
-
-def ratio_ci_of(outcomes: list[SliceOutcome]) -> float:
-    """CPI CI half-width over per-slice deltas (degraded exact runs only)."""
-    cpis = []
-    for outcome in outcomes:
-        delta = outcome.delta or {}
-        instructions = delta.get("instructions", 0)
-        if instructions:
-            cpis.append(delta.get("cycles", 0.0) / instructions)
-    _, halfwidth = confidence_interval(cpis)
-    return halfwidth
 
 
 def stitch_deltas(outcomes: list[SliceOutcome]) -> dict:
@@ -861,11 +684,12 @@ def stitch_deltas(outcomes: list[SliceOutcome]) -> dict:
     """
     merged: dict = {}
     for outcome in outcomes:
-        for key, value in (outcome.delta or {}).items():
-            if isinstance(value, dict):
-                bucket = merged.setdefault(key, {})
-                for name, amount in value.items():
-                    bucket[name] = bucket.get(name, 0) + amount
-            else:
-                merged[key] = merged.get(key, 0) + value
+        for measurement in outcome.measurements:
+            for key, value in measurement.delta.items():
+                if isinstance(value, dict):
+                    bucket = merged.setdefault(key, {})
+                    for name, amount in value.items():
+                        bucket[name] = bucket.get(name, 0) + amount
+                else:
+                    merged[key] = merged.get(key, 0) + value
     return merged

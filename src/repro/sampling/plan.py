@@ -16,6 +16,9 @@ Two selection disciplines, the standard ones from the sampling literature
 * ``stratified`` — one interval at a seeded-pseudorandom offset within each
   period (stratum), which guards against periodic program behavior aliasing
   with the sampling period.
+
+:func:`plan_slices` is the partition the checkpoint-parallel fan-out cuts
+work with, in both of its modes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Interval:
-    """One measured interval and its detailed-warmup prefix."""
+    """One measured interval and its detailed-warmup prefix.
+
+    Also the slice type of exact checkpoint-parallel runs, where
+    ``warm_start == start``: a slice resumes from the serial state at its
+    first record, so it has nothing to warm.
+    """
 
     #: Measured-interval index (0-based).
     index: int
@@ -36,6 +44,30 @@ class Interval:
     start: int
     #: One past the last measured record.
     stop: int
+
+
+def plan_slices(total: int, parts: int) -> list[Interval]:
+    """Cut ``[0, total)`` into up to ``parts`` contiguous slices.
+
+    Slices are near-equal (the remainder spreads one item at a time over
+    the leading slices) and never empty, so a ``total`` below ``parts``
+    yields fewer slices.  The one partition of the parallel fan-out: an
+    exact run's worker slices are these intervals over the trace, and a
+    sampled run's worker chunks are these slices of the plan's interval
+    list.
+    """
+    if total <= 0:
+        return []
+    parts = max(1, min(parts, total))
+    base, remainder = divmod(total, parts)
+    slices = []
+    start = 0
+    for index in range(parts):
+        stop = start + base + (1 if index < remainder else 0)
+        slices.append(Interval(index=index, warm_start=start, start=start,
+                               stop=stop))
+        start = stop
+    return slices
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ fast-forwards between measured intervals in functional-warming mode
 caches learn, no cycles), runs each interval's detailed warmup prefix
 unmeasured, snapshots the counters around the measured window, and
 extrapolates whole-trace estimates from the per-interval deltas with
-confidence intervals (:mod:`repro.sampling.estimate`).
+confidence intervals (:mod:`repro.sampling.estimate`).  The measured
+window feed and the estimator are shared with
+:func:`~repro.sampling.parallel.run_parallel`, whose slices report the
+same :class:`IntervalMeasurement` records.
 
 With a :class:`~repro.sampling.checkpoint.CheckpointStore` attached, the
 warmed state reached at each interval's warm-start is serialized once; a
@@ -22,9 +25,9 @@ one forward sweep over one stream, never a re-read from record 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit import Auditor
@@ -132,6 +135,11 @@ class _TraceCursor:
                 yield record
 
 
+#: Records per detailed block :func:`_measured_feed` hands the engine; a
+#: caller's ``beat`` runs after each full block.
+_BEAT_RECORDS = 8192
+
+
 def _diff_counters(before: dict, after: dict) -> dict:
     """Per-field delta of two :meth:`SimCounters.state_dict` snapshots."""
     delta: dict = {}
@@ -147,17 +155,46 @@ def _diff_counters(before: dict, after: dict) -> dict:
     return delta
 
 
+def _measured_feed(sim: Simulator, records: Iterable[TraceRecord],
+                   beat: Callable[[int], None] | None = None) -> dict:
+    """Feed ``records`` in detail and return the counter delta they caused.
+
+    The one measured window of the sampling package: sampled intervals
+    and exact-parallel slices both measure through it.  Records go to
+    :meth:`~repro.engine.simulator.Simulator.feed` in blocks of
+    :data:`_BEAT_RECORDS` (feeds split anywhere reach the same state), and
+    ``beat(records_fed)`` runs after each full block.  The delta is
+    :meth:`SimCounters.state_dict`-shaped, with ``cycles`` taken from the
+    simulator clock, since counters only latch cycles at finish.
+    """
+    records = iter(records)
+    before = sim.counters.state_dict()
+    cycle_before = sim._cycle
+    fed = 0
+    while True:
+        block = list(islice(records, _BEAT_RECORDS))
+        if not block:
+            break
+        sim.feed(block)
+        fed += len(block)
+        if beat is not None and len(block) == _BEAT_RECORDS:
+            beat(fed)
+    delta = _diff_counters(before, sim.counters.state_dict())
+    delta["cycles"] = sim._cycle - cycle_before
+    return delta
+
+
 @dataclass(frozen=True)
 class IntervalMeasurement:
-    """Counter deltas of one measured interval."""
+    """Counter deltas of one measured interval (or exact-parallel slice)."""
 
     index: int
     start: int
     stop: int
-    #: Whether the fast-forward to this interval was skipped via checkpoint.
+    #: Whether the fast-forward to this interval was skipped: a loaded
+    #: checkpoint, or the producer's state for an exact-parallel slice.
     from_checkpoint: bool
-    #: :meth:`SimCounters.state_dict`-shaped delta (``cycles`` from the
-    #: simulator clock, since counters only latch cycles at finish).
+    #: The :func:`_measured_feed` delta of the window.
     delta: dict
 
     @property
@@ -327,15 +364,11 @@ def _execute_intervals(
         window = list(cursor.window(interval.warm_start, interval.stop))
         sim.begin_interval(window[0].address)
         sim.feed(window[:warmup_len])
-        before = sim.counters.state_dict()
-        cycle_before = sim._cycle
         if telemetry is not None:
             telemetry.on_interval(sim._cycle, interval.index,
                                   interval.start, "measure")
-        sim.feed(window[warmup_len:])
+        delta = _measured_feed(sim, window[warmup_len:])
         detailed_records += len(window)
-        delta = _diff_counters(before, sim.counters.state_dict())
-        delta["cycles"] = sim._cycle - cycle_before
         measurements.append(
             IntervalMeasurement(
                 index=interval.index,
@@ -396,7 +429,29 @@ def run_sampled(
             telemetry=telemetry, store=checkpoint_store,
             trace_key=trace_key, plan_key=plan.cache_key(),
         )
-    raw = sim.finish()
+    return _estimate(sim.finish(), plan, total_records, measurements,
+                     detailed_records=detailed_records,
+                     checkpoints_loaded=checkpoints_loaded,
+                     checkpoints_saved=checkpoints_saved)
+
+
+def _estimate(
+    raw: SimulationResult,
+    plan: SamplingPlan,
+    total_records: int,
+    measurements: list[IntervalMeasurement],
+    *,
+    detailed_records: int,
+    checkpoints_loaded: int,
+    checkpoints_saved: int,
+) -> SampledResult:
+    """The whole-trace estimate of a sampled run, serial or parallel.
+
+    Ratio-of-sums CPI and bad-outcome fraction over ``measurements``,
+    their confidence intervals, and counters extrapolated to
+    ``total_records``; structure statistics come from ``raw``, the
+    finished result of the simulator that ran the last interval.
+    """
     cpi = ratio_estimate(
         [m.cycles for m in measurements],
         [m.instructions for m in measurements],
@@ -411,22 +466,13 @@ def run_sampled(
     _, bad_ci = confidence_interval(
         [m.bad_outcome_fraction for m in measurements if m.branches]
     )
-    counters = _extrapolate(measurements, total_records, cpi)
-    result = SimulationResult(
-        config_name=raw.config_name,
-        counters=counters,
-        search_stats=raw.search_stats,
-        btbp_stats=raw.btbp_stats,
-        btb2_stats=raw.btb2_stats,
-        preload_stats=raw.preload_stats,
-        icache_stats=raw.icache_stats,
-    )
     return SampledResult(
         config_name=raw.config_name,
         plan=plan,
         total_records=total_records,
         measurements=measurements,
-        result=result,
+        result=replace(raw, counters=_extrapolate(measurements,
+                                                  total_records, cpi)),
         cpi=cpi,
         cpi_ci=cpi_ci,
         bad_outcome_fraction=bad_fraction,

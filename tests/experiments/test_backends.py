@@ -141,7 +141,7 @@ class TestParallelFingerprintIsolation:
         cached = load_cached_run(spec.fingerprint())
         assert cached == fresh
         assert cached.parallel == fresh.parallel
-        assert cached.parallel["exact"] is True
+        assert cached.parallel["mode"] == "exact"
 
 
 class TestParallelRunsThroughThePool:

@@ -74,6 +74,10 @@ class TestRunSpecKeys:
              "d2519de9d826171bbecb"),
             (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, predictor="tage"),
              "592f7cc55718303b8ea2"),
+            # The zoo has one engine, so its engine_mode is not keyed.
+            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, predictor="tage",
+                     engine_mode="auto"),
+             "592f7cc55718303b8ea2"),
             (RunSpec(tpf, ZEC12_CONFIG_1, scale=0.02),
              "2c74681dabda82bb60c1"),
         ]

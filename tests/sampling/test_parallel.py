@@ -1,4 +1,4 @@
-"""Checkpoint-parallel simulation: bit-identity, stitching, fallbacks."""
+"""Checkpoint-parallel simulation: bit-identity, stitching, start states."""
 
 import math
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2
 from repro.engine.simulator import Simulator, simulate
+from repro.experiments.backends import SerialBackend
 from repro.sampling import (
     CheckpointStore,
     ParallelPlan,
@@ -64,8 +65,7 @@ def test_exact_parallel_is_bit_identical_to_serial(workload, backend):
     serial = simulate(spec.trace(0.05), config=ZEC12_CONFIG_2)
     stitched = run_parallel(_source(workload, 0.05), config=ZEC12_CONFIG_2,
                             plan=ParallelPlan(4), backend=backend)
-    assert stitched.exact
-    assert stitched.warm_fallbacks == 0
+    assert stitched.mode == "exact"
     assert stitched.result.counters.state_dict() == \
         serial.counters.state_dict()
     assert stitched.result.cpi == serial.cpi
@@ -79,7 +79,6 @@ def test_exact_parallel_under_auto_is_bit_identical_to_serial():
     stitched = run_parallel(_source("TPF", 0.05), config=ZEC12_CONFIG_2,
                             plan=ParallelPlan(4), backend="serial",
                             engine_mode="auto")
-    assert stitched.exact
     assert stitched.result.counters.state_dict() == \
         serial.counters.state_dict()
     assert stitched.result.cpi == serial.cpi
@@ -122,12 +121,13 @@ def test_exact_checkpoint_store_round_trip(tmp_path):
     cold = run_parallel(source, config=ZEC12_CONFIG_2, plan=ParallelPlan(4),
                         backend="serial", checkpoint_store=store)
     assert cold.checkpoints_saved == 3  # K-1 interior boundaries
+    assert cold.checkpoints_loaded == 0  # workers never re-read them
     assert cold.produced_records > 0
     warm = run_parallel(source, config=ZEC12_CONFIG_2, plan=ParallelPlan(4),
                         backend="serial", checkpoint_store=store)
     assert warm.produced_records == 0
     assert warm.checkpoints_saved == 0
-    assert warm.checkpoints_loaded >= 3
+    assert warm.checkpoints_loaded == 3  # the producer's reads only
     assert warm.result.counters.state_dict() == \
         cold.result.counters.state_dict()
     # Boundary states are keyed by record, not K: K=2 reuses the K=4 state
@@ -148,8 +148,8 @@ def test_exact_mode_differs_across_configs():
     assert one.cpi != two.cpi
 
 
-def test_corrupt_checkpoint_degrades_to_functional_warming(tmp_path):
-    """A worker that cannot load its state falls back and reports it."""
+def test_corrupt_checkpoint_is_recomputed_by_the_producer(tmp_path):
+    """A stored state the model refuses is produced again, not shipped."""
     store = CheckpointStore(tmp_path)
     source = _source("TPF", 0.05)
     run_parallel(source, config=ZEC12_CONFIG_2, plan=ParallelPlan(4),
@@ -169,6 +169,67 @@ def test_corrupt_checkpoint_degrades_to_functional_warming(tmp_path):
                       config=ZEC12_CONFIG_2)
     assert redo.result.counters.state_dict() == serial.counters.state_dict()
     assert redo.produced_records > 0  # poisoned states forced a re-produce
+
+
+class _ClearingBackend(SerialBackend):
+    """Empties a store between the producer pass and the fan-out, as
+    ``repro checkpoint clear`` does to a run in flight."""
+
+    def __init__(self, store: CheckpointStore) -> None:
+        self.store = store
+
+    def map(self, function, items, jobs=1):
+        self.store.clear()
+        return super().map(function, items, jobs)
+
+
+def test_store_emptied_before_the_fan_out_stays_exact(tmp_path):
+    """Slices start from the states the producer handed them, so a store
+    that vanishes under the fan-out cannot change (or crash) the run."""
+    store = CheckpointStore(tmp_path)
+    source = _source("TPF", 0.05)
+    serial = simulate(workload_by_name("TPF").trace(0.05),
+                      config=ZEC12_CONFIG_2)
+    kwargs = dict(config=ZEC12_CONFIG_2, plan=ParallelPlan(4),
+                  checkpoint_store=store)
+    cold = run_parallel(source, backend=_ClearingBackend(store), **kwargs)
+    run_parallel(source, backend="serial", **kwargs)  # refill the store
+    warm = run_parallel(source, backend=_ClearingBackend(store), **kwargs)
+    assert warm.produced_records == 0
+    assert not store.entries()
+    for stitched in (cold, warm):
+        assert stitched.result.counters.state_dict() == \
+            serial.counters.state_dict()
+
+
+def test_store_missing_a_middle_boundary_stays_exact(tmp_path):
+    """The producer loads the first boundary, steps to the second and
+    loads the third; the states it already handed out stay untouched.
+
+    The serial backend passes states by reference, without a pickling
+    copy, so a producer that mutated a shipped state would show here.
+    """
+    store = CheckpointStore(tmp_path)
+    source = _source("TPF", 0.05)
+    cold = run_parallel(source, config=ZEC12_CONFIG_2, plan=ParallelPlan(4),
+                        backend="serial", checkpoint_store=store)
+    first, middle = (o.start for o in cold.outcomes[1:3])
+    model = Simulator(config=ZEC12_CONFIG_2).model_fingerprint()
+    path = store.path_for(model, source.identity(), ("parallel", "exact"),
+                          middle)
+    path.unlink()
+    rerun = run_parallel(source, config=ZEC12_CONFIG_2, plan=ParallelPlan(4),
+                         backend="serial", checkpoint_store=store)
+    # The end state comes from the last boundary alone; the per-slice
+    # measurements pin every slice's start state.
+    assert [o.measurements for o in rerun.outcomes] == \
+        [o.measurements for o in cold.outcomes]
+    assert rerun.result.counters.state_dict() == \
+        cold.result.counters.state_dict()
+    assert rerun.result.cpi == cold.result.cpi
+    assert rerun.produced_records == middle - first
+    assert rerun.checkpoints_loaded == 2
+    assert rerun.checkpoints_saved == 1
 
 
 def test_empty_trace_is_rejected():

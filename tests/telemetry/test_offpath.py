@@ -185,7 +185,9 @@ class TestHookGuards:
                 )
         # Heartbeats and relay attach/close span the whole fan-out
         # lifecycle; a shrinking count means hook sites disappeared.
-        assert total >= 20
+        # Exact and sampled slice workers share one telemetry attach and
+        # one start heartbeat, which puts the count at 19.
+        assert total >= 19
 
     def test_default_telemetry_is_none_everywhere(self):
         simulator = Simulator(config=small_config())

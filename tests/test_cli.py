@@ -269,6 +269,17 @@ class TestVerifyCommand:
                 "structure 'BTB1 row'") in out
         assert "verify: all gates passed" in out
 
+    def test_parallel_gate_takes_adversarial_workloads(self, capsys):
+        # The gate draws from the golden slate, so a selection of
+        # adversarial probes alone is checked, and counted, like any other.
+        code = main(["verify", "--skip-differential", "--skip-mutation-drill",
+                     "--skip-golden", "--workloads", "btb-capacity"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ("parallel[paper]: 1 workload(s) bit-identical serial vs "
+                "4 checkpoint-parallel slices") in out
+        assert "verify: all gates passed" in out
+
     def test_golden_gate_fails_on_drift(self, tmp_path, capsys, monkeypatch):
         # A baseline whose recorded CPI cannot match forces the gate red.
         from repro.oracle import golden
@@ -365,8 +376,8 @@ class TestVerifyEndToEnd:
         assert ("golden[paper]: 15 cell(s) within tolerance, auto engine"
                 in out)
         # The parallel gate demands bit-identity between serial and the
-        # stitched checkpoint-parallel run on every workload.
-        assert ("parallel[paper]: 13 workload(s) bit-identical serial vs "
+        # stitched checkpoint-parallel run on every golden-slate workload.
+        assert ("parallel[paper]: 15 workload(s) bit-identical serial vs "
                 "4 checkpoint-parallel slices" in out)
 
 
