@@ -109,31 +109,22 @@ class BTBEntry:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of this entry."""
-        return {
-            "address": self.address,
-            "target": self.target,
-            "kind": self.kind.name,
-            "counter": self.counter,
-            "use_pht": self.use_pht,
-            "use_ctb": self.use_ctb,
-            "ctb_confidence": self.ctb_confidence,
-            "bimodal_misses": self.bimodal_misses,
-            "target_misses": self.target_misses,
-        }
+    def state_dict(self) -> list:
+        """JSON-serializable snapshot of this entry: one positional row.
+
+        ``[address, target, kind name, counter, use_pht, use_ctb,
+        ctb_confidence, bimodal_misses, target_misses]`` — the field order.
+        Entries are most of a checkpoint, so they are rows rather than
+        keyed objects (simulator state schema v2).
+        """
+        return [self.address, self.target, self.kind.name, self.counter,
+                self.use_pht, self.use_ctb, self.ctb_confidence,
+                self.bimodal_misses, self.target_misses]
 
     @classmethod
-    def from_state_dict(cls, state: dict) -> "BTBEntry":
+    def from_state_dict(cls, state: list) -> "BTBEntry":
         """Reconstruct an entry snapshotted by :meth:`state_dict`."""
-        return cls(
-            address=state["address"],
-            target=state["target"],
-            kind=BranchKind[state["kind"]],
-            counter=state["counter"],
-            use_pht=state["use_pht"],
-            use_ctb=state["use_ctb"],
-            ctb_confidence=state["ctb_confidence"],
-            bimodal_misses=state["bimodal_misses"],
-            target_misses=state["target_misses"],
-        )
+        (address, target, kind, counter, use_pht, use_ctb, ctb_confidence,
+         bimodal_misses, target_misses) = state
+        return cls(address, target, BranchKind[kind], counter, use_pht,
+                   use_ctb, ctb_confidence, bimodal_misses, target_misses)

@@ -1114,7 +1114,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     with restored_environ():
         _apply_audit_env(args)
-        return handlers[args.command](args)
+        try:
+            status = handlers[args.command](args)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout (``| head``).  Point it at devnull so
+            # the exit-time flush cannot raise again, and fail quietly.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -90,8 +90,10 @@ class Simulator(Predictor):
     LINE_FILL_PRUNE_LIMIT = 8192
 
     #: Version of the :meth:`state_dict` schema.  Bump on any change to what
-    #: a snapshot contains; :meth:`load_state_dict` refuses other versions.
-    STATE_VERSION = 1
+    #: a snapshot contains or how it is laid out; :meth:`check_state`
+    #: refuses other versions.  v2 writes BTB entries as positional rows
+    #: (:meth:`repro.btb.entry.BTBEntry.state_dict`).
+    STATE_VERSION = 2
 
     #: 4 KB blocks remembered by the functional-warming bulk preload
     #: (:meth:`warm_step`): a block already preloaded this recently is not
@@ -498,11 +500,13 @@ class Simulator(Predictor):
             ),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`.
+    def check_state(self, state: dict) -> None:
+        """Refuse a snapshot this simulator cannot restore.
 
         Raises ``ValueError`` on a schema-version or model-fingerprint
-        mismatch rather than restoring into an incompatible simulator.
+        mismatch.  :meth:`load_state_dict` runs it first; callers that
+        only hold a snapshot for later (the service's process backend)
+        run it themselves.
         """
         if state.get("version") != self.STATE_VERSION:
             raise ValueError(
@@ -515,6 +519,14 @@ class Simulator(Predictor):
                 f"(snapshot model {state.get('model')!r}, "
                 f"this simulator {self.model_fingerprint()!r})"
             )
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot taken by :meth:`state_dict`.
+
+        Raises ``ValueError`` (from :meth:`check_state`) rather than
+        restoring into an incompatible simulator.
+        """
+        self.check_state(state)
         self._cycle = state["cycle"]
         self._started = state["started"]
         self._expected_address = state["expected_address"]

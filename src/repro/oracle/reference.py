@@ -147,19 +147,11 @@ class RefEntry:
             target_misses=self.target_misses,
         )
 
-    def state_dict(self) -> dict:
-        """Production :class:`~repro.btb.entry.BTBEntry` snapshot schema."""
-        return {
-            "address": self.address,
-            "target": self.target,
-            "kind": self.kind.name,
-            "counter": self.counter,
-            "use_pht": self.use_pht,
-            "use_ctb": self.use_ctb,
-            "ctb_confidence": self.ctb_confidence,
-            "bimodal_misses": self.bimodal_misses,
-            "target_misses": self.target_misses,
-        }
+    def state_dict(self) -> list:
+        """Production :class:`~repro.btb.entry.BTBEntry` snapshot row."""
+        return [self.address, self.target, self.kind.name, self.counter,
+                self.use_pht, self.use_ctb, self.ctb_confidence,
+                self.bimodal_misses, self.target_misses]
 
 
 class _Slot:

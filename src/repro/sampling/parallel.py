@@ -474,8 +474,10 @@ def _produce_checkpoints(
         if state is not None:
             try:
                 sim.load_state_dict(state)
-            except ValueError:
-                state = None  # foreign/stale: recompute from position
+            except ValueError as refusal:
+                # Stale schema or foreign fingerprint: recompute.
+                store.refuse(model, trace_key, _EXACT_KEY, boundary, refusal)
+                state = None
         if state is not None:
             loaded += 1
             cursor.skip_to(boundary)

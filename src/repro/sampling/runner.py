@@ -341,8 +341,10 @@ def _execute_intervals(
         if state is not None:
             try:
                 sim.load_state_dict(state)
-            except ValueError:
+            except ValueError as refusal:
                 # Stale schema or foreign fingerprint: recompute.
+                store.refuse(model, trace_key, plan_key, interval.index,
+                             refusal)
                 state = None
         if state is not None:
             from_checkpoint = True

@@ -503,10 +503,12 @@ class SessionManager:
                 f"cannot resume session {session.id} in state "
                 f"{session.state!r} (suspend it first)")
         loop = asyncio.get_running_loop()
+        sim = await loop.run_in_executor(
+            None, _session_simulator, session.config, session.engine_mode)
         state = await loop.run_in_executor(
             None,
             lambda: self.store.load(
-                self._model_fingerprint(session),
+                sim.model_fingerprint(),
                 f"session:{session.id}", SESSION_PLAN_KEY, 0),
         ) if self.store is not None else None
         if state is None:
@@ -514,13 +516,15 @@ class SessionManager:
                 f"session {session.id} has no readable checkpoint in the "
                 f"spool (pruned, cleared, or corrupt)")
 
+        # Both paths refuse a stale or foreign state here, at resume: the
+        # process backend only ships the blob, so it checks it up front.
         try:
             if self._ship_state:
+                sim.check_state(state)
                 session.state_blob = state
             else:
-                session.sim = await loop.run_in_executor(
-                    None, _session_simulator, session.config,
-                    session.engine_mode, state)
+                await loop.run_in_executor(None, sim.load_state_dict, state)
+                session.sim = sim
         except ValueError as problem:
             raise ServiceError.invalid_state(
                 f"checkpoint rejected on load: {problem}") from problem

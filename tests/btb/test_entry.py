@@ -1,5 +1,8 @@
 """Tests for BTB entries: bimodal counter, PHT/CTB control bits, confidence."""
 
+import itertools
+import json
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -132,3 +135,31 @@ class TestClone:
         c.update_direction(False)
         assert e.counter == WEAK_TAKEN
         assert c.counter != e.counter
+
+
+class TestStateRow:
+    """Schema v2: an entry snapshots to one positional row and back."""
+
+    def test_row_is_the_field_order(self):
+        e = entry(kind=BranchKind.RETURN, counter=STRONG_NOT_TAKEN,
+                  use_pht=True, ctb_confidence=1, bimodal_misses=5,
+                  target_misses=7)
+        assert e.state_dict() == [0x100, 0x200, "RETURN", STRONG_NOT_TAKEN,
+                                  True, False, 1, 5, 7]
+
+    @given(
+        address=st.integers(0, 2**64 - 1),
+        target=st.integers(0, 2**64 - 1),
+        ctb_confidence=st.integers(0, 3),
+        bimodal_misses=st.integers(0, 2**31),
+        target_misses=st.integers(0, 2**31),
+    )
+    def test_round_trip_directly_and_through_json(self, **fields):
+        """Every kind x counter x flag combination, around drawn values."""
+        for kind, counter, use_pht, use_ctb in itertools.product(
+                BranchKind, range(4), (False, True), (False, True)):
+            e = BTBEntry(kind=kind, counter=counter, use_pht=use_pht,
+                         use_ctb=use_ctb, **fields)
+            assert BTBEntry.from_state_dict(e.state_dict()) == e
+            assert BTBEntry.from_state_dict(
+                json.loads(json.dumps(e.state_dict()))) == e

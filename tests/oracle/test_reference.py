@@ -7,6 +7,9 @@ cross-checks against the production engine live in
 ``test_differential.py``.
 """
 
+import itertools
+
+from repro.btb.entry import BTBEntry
 from repro.core.config import ZEC12_CONFIG_2
 from repro.isa.opcodes import BranchKind
 from repro.oracle.reference import (
@@ -154,6 +157,16 @@ class TestReferencePredictorShape:
         }
         assert state["btb2"] is not None
         assert hierarchy["btb1"]["rows"] == []
+
+    def test_entry_row_matches_an_equal_production_entry(self):
+        for kind, counter, use_pht, use_ctb in itertools.product(
+                BranchKind, range(4), (False, True), (False, True)):
+            fields = dict(address=ROW + 6, target=0x2000, kind=kind,
+                          counter=counter, use_pht=use_pht, use_ctb=use_ctb,
+                          ctb_confidence=counter ^ 1, bimodal_misses=3,
+                          target_misses=counter + 1)
+            assert (RefEntry(**fields).state_dict()
+                    == BTBEntry(**fields).state_dict())
 
     def test_entry_clone_is_equal_but_distinct(self):
         original = entry(ROW)

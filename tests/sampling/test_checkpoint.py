@@ -1,5 +1,9 @@
 """Checkpoint serialization: round trips, byte stability, tolerant loads."""
 
+import copy
+
+import pytest
+
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.simulator import Simulator
 from repro.sampling import CheckpointStore, load_state, save_state
@@ -25,6 +29,33 @@ def test_saves_are_byte_stable(tmp_path):
     save_state(tmp_path / "a.gz", state)
     save_state(tmp_path / "b.gz", state)
     assert (tmp_path / "a.gz").read_bytes() == (tmp_path / "b.gz").read_bytes()
+
+
+#: Keys of a BTB entry in schema v1, which stored entries as objects.
+V1_ENTRY_KEYS = ("address", "target", "kind", "counter", "use_pht",
+                 "use_ctb", "ctb_confidence", "bimodal_misses",
+                 "target_misses")
+
+
+def _as_v1(state):
+    """``state`` laid out as schema v1 wrote it: keyed-object entries."""
+    old = copy.deepcopy(state)
+    old["version"] = 1
+    for table in (old["hierarchy"]["btb1"], old["hierarchy"]["btbp"],
+                  old["btb2"]):
+        table["rows"] = [
+            [index, [dict(zip(V1_ENTRY_KEYS, row)) for row in ways]]
+            for index, ways in table["rows"]
+        ]
+    return old
+
+
+def test_schema_v1_state_is_refused_with_the_version_message():
+    v1 = _as_v1(_warmed_state())
+    assert v1["hierarchy"]["btb1"]["rows"] and v1["btb2"]["rows"]
+    with pytest.raises(ValueError,
+                       match=r"schema version 1 != supported 2"):
+        Simulator(config=ZEC12_CONFIG_2).load_state_dict(v1)
 
 
 def test_store_keys_on_full_provenance(tmp_path):

@@ -169,6 +169,10 @@ def test_corrupt_checkpoint_is_recomputed_by_the_producer(tmp_path):
                       config=ZEC12_CONFIG_2)
     assert redo.result.counters.state_dict() == serial.counters.state_dict()
     assert redo.produced_records > 0  # poisoned states forced a re-produce
+    # One skip-ledger entry per refused boundary state (4 slices, 3 cuts).
+    assert sorted(path for path, _ in store.skipped) == store.entries()
+    assert all("schema version 99999" in reason
+               for _, reason in store.skipped)
 
 
 class _ClearingBackend(SerialBackend):

@@ -128,6 +128,10 @@ def test_stale_checkpoint_is_recomputed(tmp_path):
     assert redone.checkpoints_loaded == 0
     assert redone.checkpoints_saved == len(redone.measurements)
     assert redone.measurements == cold.measurements
+    # Every refused state is in the skip ledger, with the model's reason.
+    assert len(store.skipped) == len(redone.measurements)
+    assert all("schema version 99999" in reason
+               for _, reason in store.skipped)
 
 
 def test_sampled_matches_full_within_two_percent():

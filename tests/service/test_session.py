@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.simulator import simulate
-from repro.sampling import CheckpointStore
+from repro.sampling import CheckpointStore, load_state, save_state
 from repro.service.protocol import ServiceError, ServiceLimits
 from repro.service.session import SessionManager
 from repro.workloads.catalog import workload_by_name
@@ -149,6 +149,29 @@ class TestSuspendResume:
             assert "checkpoint" in excinfo.value.message
 
         _run(body, store=store)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_resume_refuses_a_stale_spooled_state(self, tmp_path, backend):
+        """Every backend checks the spooled state at resume, so a stale
+        one is refused there and not on the session's next chunk."""
+        records = _trace(scale=0.002)
+        store = CheckpointStore(tmp_path)
+
+        async def body(manager):
+            session = manager.create()
+            await manager.enqueue(session, records, wait=True)
+            await manager.suspend(session)
+            (path,) = store.entries()
+            state = load_state(path)
+            state["version"] = 99
+            save_state(path, state)
+            with pytest.raises(ServiceError) as excinfo:
+                await manager.resume(session)
+            assert excinfo.value.code == "invalid_state"
+            assert "schema version 99" in excinfo.value.message
+            assert session.state == "suspended"
+
+        _run(body, backend=backend, store=store)
 
     def test_close_auto_resumes_a_suspended_session(self, tmp_path):
         records = _trace()

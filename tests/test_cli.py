@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _suffixed, build_parser, main
 from repro.core.config import ZEC12_CONFIG_2
 from repro.telemetry import validate_jsonl
@@ -234,6 +238,25 @@ class TestRefusalExitCode:
                      "--warmup", "400", "--max-ci", "0.5"])
         assert code == 0
         assert "CPI" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_nonzero_without_a_traceback(self):
+        """``repro simulate ... | head -2``: the reader leaves mid-run."""
+        source = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [source, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "simulate", "TPF", "--scale",
+             "0.05", "--configs", "1", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(2):
+            assert process.stdout.readline()
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=300)
+        assert process.returncode != 0
+        assert b"Traceback" not in stderr
 
 
 def faithful_measure(real: dict):
