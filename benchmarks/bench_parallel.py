@@ -52,13 +52,13 @@ REQUIRED_SPEEDUP_AT_4 = 2.5
 
 def test_parallel_interval_scaling(benchmark, tmp_path):
     spec = workload_by_name(BENCH_WORKLOAD)
-    spec.trace(scale=BENCH_SCALE)  # warm the on-disk trace cache (untimed)
-    source = TraceSource.for_workload(spec, BENCH_SCALE)
-    assert source.path is not None, "bench needs the on-disk trace cache"
+    path = spec.trace_path(BENCH_SCALE)  # warm the on-disk trace cache (untimed)
+    assert path is not None, "bench needs the on-disk trace cache"
+    source = TraceSource(spec, BENCH_SCALE)
 
     # CPU seconds, matching the per-slice accounting inside the workers.
     start = time.process_time()
-    trace = load_trace(source.path)
+    trace = load_trace(path)
     serial = simulate(trace, config=ZEC12_CONFIG_2)
     serial_seconds = time.process_time() - start
 

@@ -54,7 +54,12 @@ from repro.telemetry import Telemetry
 from repro.telemetry.distributed import TelemetryRelay
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.monitor import StatusBoard
-from repro.workloads.catalog import TABLE4_WORKLOADS, WorkloadSpec, default_scale
+from repro.workloads.catalog import (
+    TABLE4_WORKLOADS,
+    WorkloadSpec,
+    default_scale,
+    trace_identity,  # noqa: F401 - re-exported: callers key checkpoints by it
+)
 
 #: Environment variable overriding the result-cache directory
 #: (``off``/``none``/empty disables caching entirely).
@@ -313,11 +318,6 @@ def store_cached_run(key: str, run: RunResult) -> None:
     os.replace(scratch, path)  # atomic vs concurrent readers and writers
 
 
-def trace_identity(spec: WorkloadSpec, scale: float) -> str:
-    """Stable identity of one generated trace (checkpoint provenance)."""
-    return hashlib.sha256(repr((spec, scale)).encode()).hexdigest()[:16]
-
-
 def _sampled_info(sampled: SampledResult) -> dict:
     """The ``sampling`` provenance block of a sampled run's cache entry."""
     return {
@@ -407,38 +407,42 @@ def _execute(
     relay: TelemetryRelay | None,
     status_label: str | None,
 ) -> tuple[SimulationResult, SampledResult | ParallelResult | None]:
-    """The dispatch of :func:`execute_plan`: parallel, sampled or full."""
-    scale = plan.resolved_scale()
+    """The dispatch of :func:`execute_plan`: parallel, sampled or full.
+
+    Every plan reads its trace through one
+    :class:`~repro.sampling.TraceSource`, which streams the workload's
+    validated cache file.
+    """
+    source = TraceSource(plan.workload, plan.resolved_scale())
     store = (CheckpointStore(plan.checkpoint_dir)
              if plan.checkpoint_dir is not None else None)
-    trace_key = trace_identity(plan.workload, scale)
+    trace_key = source.identity()
     if plan.parallel is not None:
         stitched = run_parallel(
-            TraceSource.for_workload(plan.workload, scale),
-            config=plan.config, timing=plan.timing, plan=plan.parallel,
-            sampling=plan.sampling, checkpoint_store=store,
-            trace_key=trace_key, engine_mode=plan.engine_mode,
-            backend=plan.backend, telemetry=telemetry, relay=relay,
-            status_label=status_label,
+            source, config=plan.config, timing=plan.timing,
+            plan=plan.parallel, sampling=plan.sampling,
+            checkpoint_store=store, trace_key=trace_key,
+            engine_mode=plan.engine_mode, backend=plan.backend,
+            telemetry=telemetry, relay=relay, status_label=status_label,
         )
         return stitched.result, stitched
-    trace = plan.workload.trace(scale)
-    if not trace:
-        raise RuntimeError(
-            f"empty trace for {plan.workload.name} at scale {scale}")
     audit = plan.resolved_audit()
-    if plan.sampling is not None:
-        sampled = run_sampled(
-            trace, config=plan.config, timing=plan.timing, plan=plan.sampling,
-            audit=Auditor() if audit else None, telemetry=telemetry,
-            checkpoint_store=store, trace_key=trace_key,
-            engine_mode=plan.engine_mode,
-        )
-        return sampled.result, sampled
-    predictor = create_predictor(
-        plan.predictor, plan.config, plan.timing, audit=audit,
-        telemetry=telemetry, engine_mode=plan.engine_mode)
-    return predictor.run(trace), None
+    with source.open() as trace:
+        if not trace:
+            raise RuntimeError(f"empty trace for {plan.workload.name} at "
+                               f"scale {source.scale}")
+        if plan.sampling is not None:
+            sampled = run_sampled(
+                trace, config=plan.config, timing=plan.timing,
+                plan=plan.sampling, audit=Auditor() if audit else None,
+                telemetry=telemetry, checkpoint_store=store,
+                trace_key=trace_key, engine_mode=plan.engine_mode,
+            )
+            return sampled.result, sampled
+        predictor = create_predictor(
+            plan.predictor, plan.config, plan.timing, audit=audit,
+            telemetry=telemetry, engine_mode=plan.engine_mode)
+        return predictor.run(trace), None
 
 
 def run_plan(plan: RunSpec) -> RunResult:

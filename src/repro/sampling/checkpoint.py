@@ -36,7 +36,6 @@ import gzip
 import hashlib
 import json
 import os
-import time
 import zlib
 from pathlib import Path
 
@@ -115,7 +114,7 @@ class CheckpointStore:
         self.directory = Path(directory)
         #: Skip-and-report ledger: (path, reason) for every unreadable
         #: checkpoint this store instance encountered and degraded around,
-        #: and every state a model refused (:meth:`refuse`).
+        #: and every state a model refused (:meth:`restore`).
         self.skipped: list[tuple[Path, str]] = []
 
     def path_for(self, model: str, trace_key: str, plan_key: tuple,
@@ -126,22 +125,18 @@ class CheckpointStore:
         ).hexdigest()[:20]
         return self.directory / f"ckpt-{digest}.json.gz"
 
-    def has(self, model: str, trace_key: str, plan_key: tuple,
-            index: int) -> bool:
-        """True when a checkpoint exists for this identity."""
-        return self.path_for(model, trace_key, plan_key, index).exists()
-
     def load(self, model: str, trace_key: str, plan_key: tuple,
              index: int) -> dict | None:
         """The stored state, or ``None`` when absent or unreadable.
 
         Tolerant reads, like the result cache: a corrupt or half-written
         file (only possible outside the atomic-rename protocol) degrades to
-        a recompute, never an error.
+        a recompute, never an error.  Counts a ``miss`` or a ``skipped``
+        read; :meth:`restore` counts the rest.
         """
         path = self.path_for(model, trace_key, plan_key, index)
         try:
-            state = load_state(path)
+            return load_state(path)
         except FileNotFoundError:
             _count("miss")
             return None  # plain miss, not worth a skip report
@@ -149,16 +144,33 @@ class CheckpointStore:
             self.skipped.append((path, f"{type(problem).__name__}: {problem}"))
             _count("skipped")
             return None
+
+    def restore(self, sim, trace_key: str, plan_key: tuple,
+                index: int) -> dict | None:
+        """Load the stored state into ``sim``; return it, or ``None``.
+
+        The one read-and-accept step of every checkpoint consumer: the
+        sampled runner, the exact-parallel producer and the service's
+        resume.  ``sim`` keys the read (its model fingerprint) and must
+        accept the state: one it refuses (stale schema, foreign
+        fingerprint) is counted ``refused`` and noted in :attr:`skipped`,
+        and ``sim`` is left as it was.  Only an accepted state counts as a
+        ``hit``.
+        """
+        model = sim.model_fingerprint()
+        state = self.load(model, trace_key, plan_key, index)
+        if state is None:
+            return None
+        try:
+            sim.load_state_dict(state)
+        except ValueError as problem:
+            self.skipped.append(
+                (self.path_for(model, trace_key, plan_key, index),
+                 f"{type(problem).__name__}: {problem}"))
+            _count("refused")
+            return None
         _count("hit")
         return state
-
-    def refuse(self, model: str, trace_key: str, plan_key: tuple,
-               index: int, problem: Exception) -> None:
-        """Record a read state the model refused (stale schema, foreign
-        fingerprint) in :attr:`skipped`; the caller recomputes it."""
-        self.skipped.append(
-            (self.path_for(model, trace_key, plan_key, index),
-             f"{type(problem).__name__}: {problem}"))
 
     def save(self, model: str, trace_key: str, plan_key: tuple,
              index: int, state: dict) -> Path:
@@ -179,32 +191,20 @@ class CheckpointStore:
         except OSError:
             return []
 
-    def prune(self, max_entries: int | None = None,
-              max_age: float | None = None, *,
-              now: float | None = None) -> int:
-        """Bound the store: drop old checkpoints; return the count removed.
+    def prune(self, max_entries: int | None = None) -> int:
+        """Keep the ``max_entries`` newest checkpoints; return the count removed.
 
         Long-lived stores (the simulation service's suspend/resume spool,
-        a shared sweep cache) grow without bound otherwise.  Two
-        independent limits, either or both:
-
-        * ``max_age`` — remove entries whose mtime is older than this many
-          seconds (against ``now``, default wall clock);
-        * ``max_entries`` — after the age pass, remove oldest-first until
-          at most this many remain.
-
-        Tolerant of concurrent writers and deleters exactly like
-        :meth:`clear`: a vanished file is not an error and not counted,
-        and an unstatable file is treated as oldest (it gets pruned
-        first rather than wedging the pass).
+        a shared sweep cache) grow without bound otherwise.  ``None`` keeps
+        everything.  Tolerant of concurrent writers and deleters exactly
+        like :meth:`clear`: a vanished file is not an error and not
+        counted, and an unstatable file is treated as oldest (it gets
+        pruned first rather than wedging the pass).
         """
-        if max_entries is None and max_age is None:
+        if max_entries is None:
             return 0
-        if max_entries is not None and max_entries < 0:
+        if max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if max_age is not None and max_age < 0:
-            raise ValueError(f"max_age must be >= 0, got {max_age}")
-        now = time.time() if now is None else now
         aged: list[tuple[float, Path]] = []
         for path in self.entries():
             try:
@@ -213,16 +213,8 @@ class CheckpointStore:
                 mtime = float("-inf")
             aged.append((mtime, path))
         aged.sort()
-        doomed: list[Path] = []
-        if max_age is not None:
-            cutoff = now - max_age
-            doomed.extend(path for mtime, path in aged if mtime < cutoff)
-            aged = [(mtime, path) for mtime, path in aged if mtime >= cutoff]
-        if max_entries is not None and len(aged) > max_entries:
-            excess = len(aged) - max_entries
-            doomed.extend(path for _, path in aged[:excess])
         removed = 0
-        for path in doomed:
+        for _, path in aged[:max(0, len(aged) - max_entries)]:
             try:
                 path.unlink()
             except FileNotFoundError:

@@ -41,10 +41,10 @@ under distinct plan keys in the store.
 
 from __future__ import annotations
 
-import hashlib
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
@@ -67,8 +67,9 @@ from repro.telemetry.hub import Telemetry as _Telemetry
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.monitor import StatusBoard, shutdown_sweep
 from repro.telemetry.tracer import Tracer as _Tracer
-from repro.trace.reader import open_trace
-from repro.workloads.catalog import WorkloadSpec, default_scale
+from repro.trace.reader import TraceFile, open_trace
+from repro.trace.record import TraceRecord
+from repro.workloads.catalog import WorkloadSpec, trace_identity
 
 #: Count-shaped histogram bounds for per-slice record volumes.
 _RECORD_BUCKETS = (100.0, 1_000.0, 10_000.0, 100_000.0,
@@ -77,74 +78,38 @@ _RECORD_BUCKETS = (100.0, 1_000.0, 10_000.0, 100_000.0,
 
 @dataclass(frozen=True)
 class TraceSource:
-    """A picklable recipe for obtaining one trace in any process.
+    """The one recipe for a run's trace: a workload spec and a scale.
 
-    Workers cannot receive a live :class:`~repro.trace.reader.TraceFile`
-    (open file handles don't pickle) and should not receive a
-    million-record list (pickling it per task dwarfs the simulation), so
-    the fan-out ships this recipe instead.  Exactly one of the three
-    fields is the primary source; :meth:`open` prefers the streaming path
-    so each worker decodes only its own slice.
+    Plain picklable data, so the fan-out ships it to every worker: an open
+    :class:`~repro.trace.reader.TraceFile` does not pickle, and pickling a
+    million-record list per task dwarfs the simulation.  Each process
+    opens it and streams its own records.
     """
 
-    #: Catalog workload to regenerate/stream from the trace cache.
-    workload: WorkloadSpec | None = None
-    #: Scale for ``workload`` (resolved, never ``None`` when workload set).
-    scale: float | None = None
-    #: On-disk ``.ztrc`` file to stream with :func:`open_trace`.
-    path: str | None = None
-    #: In-memory records (tests and tiny traces only — pickled per task).
-    records: tuple = ()
+    workload: WorkloadSpec
+    #: Trace scale (resolved; the environment default is the caller's).
+    scale: float
 
-    @classmethod
-    def for_workload(cls, spec: WorkloadSpec,
-                     scale: float | None = None) -> "TraceSource":
-        """Source for a catalog workload, streaming when the cache allows.
+    @contextmanager
+    def open(self) -> Iterator[TraceFile | list[TraceRecord]]:
+        """The trace, for the duration of the ``with`` block.
 
-        Ensures the on-disk trace exists up front (one generation, not one
-        per worker); with the trace cache disabled there is no stable path,
-        so workers fall back to regenerating the records in memory.
+        A :class:`~repro.trace.reader.TraceFile` over the workload's
+        validated cache file (a truncated or stale one is regenerated
+        first), so a reader decodes only the records it touches.  With the
+        trace cache off there is no file, and the records are generated
+        in memory.
         """
-        if scale is None:
-            scale = default_scale()
-        try:
-            path = str(spec.trace_path(scale))
-        except RuntimeError:
-            path = None
-        return cls(workload=spec, scale=scale, path=path)
-
-    @classmethod
-    def for_path(cls, path) -> "TraceSource":
-        """Source streaming an existing trace file."""
-        return cls(path=str(path))
-
-    @classmethod
-    def for_records(cls, records) -> "TraceSource":
-        """In-memory source (serial backend or small traces)."""
-        return cls(records=tuple(records))
-
-    def open(self):
-        """Materialize the trace: a ``TraceFile``, list, or record tuple."""
-        if self.path is not None:
-            try:
-                return open_trace(self.path)
-            except (OSError, ValueError):
-                pass  # cache evicted under us; fall through to regenerate
-        if self.workload is not None:
-            return self.workload.trace(self.scale)
-        return self.records
+        path = self.workload.trace_path(self.scale)
+        if path is None:
+            yield self.workload.generate(self.scale)
+            return
+        with open_trace(path) as trace:
+            yield trace
 
     def identity(self) -> str:
         """Stable trace identity for checkpoint provenance keys."""
-        if self.workload is not None:
-            from repro.experiments.common import trace_identity
-
-            return trace_identity(self.workload, self.scale)
-        if self.path is not None:
-            return hashlib.sha256(
-                repr(("path", self.path)).encode()).hexdigest()[:16]
-        return hashlib.sha256(
-            repr(("records", self.records)).encode()).hexdigest()[:16]
+        return trace_identity(self.workload, self.scale)
 
 
 @dataclass(frozen=True)
@@ -324,9 +289,7 @@ def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
     started = time.process_time()
     first, last = task.intervals[0], task.intervals[-1]
     span = last.stop - first.warm_start
-    trace = task.source.open()
-    close = getattr(trace, "close", None)
-    try:
+    with task.source.open() as trace:
         sim = Simulator(config=task.config, timing=task.timing,
                         engine_mode=task.engine_mode)
         cursor = _TraceCursor(trace)
@@ -378,9 +341,6 @@ def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
             checkpoints_saved=saved,
             seconds=time.process_time() - started,
         )
-    finally:
-        if close is not None:
-            close()
 
 
 @dataclass
@@ -469,15 +429,8 @@ def _produce_checkpoints(
     produced = loaded = saved = 0
     for index, piece in enumerate(slices[1:]):
         boundary = piece.start
-        state = (store.load(model, trace_key, _EXACT_KEY, boundary)
+        state = (store.restore(sim, trace_key, _EXACT_KEY, boundary)
                  if use_store else None)
-        if state is not None:
-            try:
-                sim.load_state_dict(state)
-            except ValueError as refusal:
-                # Stale schema or foreign fingerprint: recompute.
-                store.refuse(model, trace_key, _EXACT_KEY, boundary, refusal)
-                state = None
         if state is not None:
             loaded += 1
             cursor.skip_to(boundary)
@@ -556,9 +509,7 @@ def run_parallel(
     states: dict[int, dict] = {}
     produced = loaded = saved = 0
     produce_seconds = 0.0
-    trace = source.open()
-    close = getattr(trace, "close", None)
-    try:
+    with source.open() as trace:
         total = len(trace)
         if not total:
             raise ValueError("cannot parallel-simulate an empty trace")
@@ -584,9 +535,6 @@ def run_parallel(
                 checkpoint_store, trace_key, telemetry,
             )
             produce_seconds = time.perf_counter() - produce_started
-    finally:
-        if close is not None:
-            close()
 
     chunk_store = sampling is not None and checkpoint_store is not None
     tasks = [

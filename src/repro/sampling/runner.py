@@ -16,18 +16,19 @@ warmed state reached at each interval's warm-start is serialized once; a
 rerun (same model fingerprint, trace identity and plan) loads the snapshot
 and skips the fast-forward entirely.
 
-The trace argument is anything sized: a materialized ``list[TraceRecord]``,
-a :class:`~repro.trace.reader.TraceFile` (the cheap path — fixed record
-size makes a checkpoint fast-forward a seek instead of a scan), or any
-sized iterable.  Consumption is single-pass via :class:`_TraceCursor`:
-one forward sweep over one stream, never a re-read from record 0.
+The trace argument is a :class:`~repro.trace.reader.TraceFile` (the path
+every run plan takes — fixed record size makes a checkpoint fast-forward a
+seek instead of a scan) or a materialized ``list[TraceRecord]``.
+Consumption is single-pass via :class:`_TraceCursor`: one forward sweep
+over one stream, never a re-read from record 0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit import Auditor
@@ -51,30 +52,28 @@ from repro.trace.record import TraceRecord
 class _TraceCursor:
     """One forward pass over a trace, whatever its access pattern.
 
-    Interval consumption used to open a fresh window per interval, which
-    on a streaming reader meant a new iteration per window (and made pure
-    iterables unusable).  The cursor fixes that: it hands out
-    monotonically advancing windows carved from a *single* underlying
-    stream, escalating through three access modes:
+    Hands out monotonically advancing windows carved from a *single*
+    underlying stream, in one of two access modes:
 
     * ``iter_from`` (a :class:`~repro.trace.reader.TraceFile`): one
       open-ended generator over the backing stream is reused across
       contiguous windows; a positional jump (checkpoint fast-forward)
       re-seeks instead of scanning.  ``stream_passes`` counts generator
       (re)creations — contiguous consumption is exactly one pass.
-    * sliceable sequences (a materialized ``list``): windows are slices;
-      skips are free.
-    * plain sized iterables: one ``iter()`` for the whole run; skips
-      consume-and-discard.  (Previously a ``TypeError``.)
+    * sequences (a materialized ``list``): windows are slices; skips are
+      free.
 
-    Rewinding is a bug by construction and raises ``ValueError``.
+    Anything else raises ``TypeError``.  Rewinding is a bug by
+    construction and raises ``ValueError``.
     """
 
     def __init__(self, trace) -> None:
         self._trace = trace
         self._iter_from = getattr(trace, "iter_from", None)
-        self._sliceable = (self._iter_from is None
-                           and hasattr(trace, "__getitem__"))
+        if self._iter_from is None and not isinstance(trace, Sequence):
+            raise TypeError(
+                f"a trace is a sequence of records or a TraceFile, not "
+                f"{type(trace).__name__}")
         self._stream: Iterator[TraceRecord] | None = None
         self._position = 0
         #: Fresh stream iterations/seeks performed (regression hook).
@@ -87,29 +86,17 @@ class _TraceCursor:
     def skip_to(self, position: int) -> None:
         """Advance past records ``[position_now, position)`` unread.
 
-        Free on seekable/sliceable traces; consume-and-discard on pure
-        streams.  Going backwards raises — the cursor is single-pass.
+        Free in both modes.  Going backwards raises — the cursor is
+        single-pass.
         """
         if position < self._position:
             raise ValueError(
                 f"cursor cannot rewind from {self._position} to {position}"
             )
-        if position == self._position:
-            return
-        if self._iter_from is not None:
+        if position != self._position:
             # Drop the current generator; the next window re-seeks.
             self._stream = None
-        elif not self._sliceable:
-            stream = self._ensure_stream()
-            for _ in islice(stream, position - self._position):
-                pass
-        self._position = position
-
-    def _ensure_stream(self) -> Iterator[TraceRecord]:
-        if self._stream is None:
-            self._stream = iter(self._trace)
-            self.stream_passes += 1
-        return self._stream
+            self._position = position
 
     def window(self, start: int, stop: int) -> Iterator[TraceRecord]:
         """Yield records ``[start, stop)``; ``start`` >= current position."""
@@ -117,22 +104,16 @@ class _TraceCursor:
             return
         if start != self._position:
             self.skip_to(start)
-        if self._iter_from is not None:
+        if self._iter_from is None:
+            records = self._trace[start:stop]
+        else:
             if self._stream is None:
                 self._stream = self._iter_from(start)
                 self.stream_passes += 1
-            for record in islice(self._stream, stop - start):
-                self._position += 1
-                yield record
-        elif self._sliceable:
-            for record in self._trace[start:stop]:
-                self._position += 1
-                yield record
-        else:
-            stream = self._ensure_stream()
-            for record in islice(stream, stop - start):
-                self._position += 1
-                yield record
+            records = islice(self._stream, stop - start)
+        for record in records:
+            self._position += 1
+            yield record
 
 
 #: Records per detailed block :func:`_measured_feed` hands the engine; a
@@ -334,20 +315,9 @@ def _execute_intervals(
     checkpoints_saved = 0
     measurements: list[IntervalMeasurement] = []
     for interval in intervals:
-        state = None
-        if use_store:
-            state = store.load(model, trace_key, plan_key, interval.index)
-        from_checkpoint = False
-        if state is not None:
-            try:
-                sim.load_state_dict(state)
-            except ValueError as refusal:
-                # Stale schema or foreign fingerprint: recompute.
-                store.refuse(model, trace_key, plan_key, interval.index,
-                             refusal)
-                state = None
-        if state is not None:
-            from_checkpoint = True
+        from_checkpoint = use_store and store.restore(
+            sim, trace_key, plan_key, interval.index) is not None
+        if from_checkpoint:
             checkpoints_loaded += 1
             cursor.skip_to(interval.warm_start)
         else:

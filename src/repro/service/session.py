@@ -497,7 +497,16 @@ class SessionManager:
         return {"checkpoint": str(path)}
 
     async def resume(self, session: Session) -> None:
-        """Reload a suspended session's state from the spool."""
+        """Reload a suspended session's state from the spool.
+
+        Every backend restores the spooled state into a fresh simulator
+        here, so a stale or foreign state is refused at resume and the
+        session stays ``suspended``; the process backend then ships the
+        accepted state with its chunks.  ``repro_service_resumes_total``
+        counts each attempt by result: ``resumed``, ``refused`` (the spool
+        held a state that could not be restored) or ``missing`` (no spool
+        entry: pruned or cleared).
+        """
         if session.state != "suspended":
             raise ServiceError.invalid_state(
                 f"cannot resume session {session.id} in state "
@@ -505,29 +514,32 @@ class SessionManager:
         loop = asyncio.get_running_loop()
         sim = await loop.run_in_executor(
             None, _session_simulator, session.config, session.engine_mode)
-        state = await loop.run_in_executor(
-            None,
-            lambda: self.store.load(
-                sim.model_fingerprint(),
-                f"session:{session.id}", SESSION_PLAN_KEY, 0),
-        ) if self.store is not None else None
+        state, refusals = None, []
+        if self.store is not None:
+            # A view of its own, so its skip ledger names this refusal alone.
+            spool = CheckpointStore(self.store.directory)
+            state = await loop.run_in_executor(
+                None, spool.restore, sim, f"session:{session.id}",
+                SESSION_PLAN_KEY, 0)
+            refusals = spool.skipped
+        result = ("resumed" if state is not None
+                  else "refused" if refusals else "missing")
+        self.registry.counter(
+            "repro_service_resumes_total",
+            "session resume attempts by result",
+            ("result",),
+        ).inc(result=result)
+        if refusals:
+            raise ServiceError.invalid_state(
+                f"checkpoint rejected on load: {refusals[0][1]}")
         if state is None:
             raise ServiceError.invalid_state(
-                f"session {session.id} has no readable checkpoint in the "
-                f"spool (pruned, cleared, or corrupt)")
-
-        # Both paths refuse a stale or foreign state here, at resume: the
-        # process backend only ships the blob, so it checks it up front.
-        try:
-            if self._ship_state:
-                sim.check_state(state)
-                session.state_blob = state
-            else:
-                await loop.run_in_executor(None, sim.load_state_dict, state)
-                session.sim = sim
-        except ValueError as problem:
-            raise ServiceError.invalid_state(
-                f"checkpoint rejected on load: {problem}") from problem
+                f"session {session.id} has no checkpoint in the spool "
+                f"(pruned or cleared)")
+        if self._ship_state:
+            session.state_blob = state
+        else:
+            session.sim = sim
         session.state = "active"
         session.resumes += 1
         session.touch()

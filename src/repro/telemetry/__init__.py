@@ -100,7 +100,7 @@ from repro.telemetry.monitor import (
 )
 from repro.telemetry.profiler import BranchProfile, BranchProfiler
 from repro.telemetry.sampler import COLUMNS, Sampler, render_timeline, sparkline
-from repro.telemetry.timers import PhaseTimers, phase_timer
+from repro.telemetry.timers import phase_timer
 from repro.telemetry.tracer import Tracer
 
 __all__ = [
@@ -118,7 +118,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimers",
     "Sampler",
     "StatusBoard",
     "Telemetry",

@@ -1,9 +1,9 @@
 """Host-side wall-time phase timers.
 
 The simulated-cycle tracer answers "where did the *model's* time go"; the
-phase timers answer the same question for the *host*: how long each phase
-of a report run (tables, each figure, rendering) actually took.  They are
-dependency-free so anything may use them; the experiment pool's
+phase timer answers the same question for the *host*: how long each phase
+of a report run (tables, each figure, rendering) actually took.  It is
+dependency-free so anything may use it; the experiment pool's
 :class:`~repro.experiments.pool.ExecutionLog` carries the accumulated
 phases into the session summary (``record_phase``).
 """
@@ -15,36 +15,13 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 
-class PhaseTimers:
-    """Named wall-time accumulators with a context-manager interface."""
-
-    def __init__(self) -> None:
-        #: phase name -> accumulated wall seconds.
-        self.phases: dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time the enclosed block under ``name`` (re-entrant: accumulates)."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.phases[name] = self.phases.get(name, 0.0) + elapsed
-
-    def merge_into(self, record: Callable[[str, float], None]) -> None:
-        """Replay every accumulated phase into ``record(name, seconds)``."""
-        for name, seconds in self.phases.items():
-            record(name, seconds)
-
-
 @contextmanager
 def phase_timer(name: str,
                 record: Callable[[str, float], None]) -> Iterator[None]:
     """Time one block and report it straight to ``record(name, seconds)``.
 
-    The one-shot sibling of :class:`PhaseTimers` for callers that already
-    own an accumulator (e.g. ``session_log.record_phase``).
+    ``record`` is the caller's accumulator (e.g.
+    ``session_log.record_phase``); it runs even when the block raises.
     """
     started = time.perf_counter()
     try:

@@ -29,14 +29,12 @@ function of the site geometry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import random
 
 from repro.isa.opcodes import BranchKind
 from repro.trace.record import TraceRecord
-from repro.trace.stats import TraceStats, collect_stats
-from repro.workloads.catalog import _cache_path, _write_cache, default_scale
+from repro.workloads.catalog import CachedTrace
 
 #: Base address of the adversarial region — disjoint from the synthetic
 #: catalog's program images (bit 30 set) so mixed experiments never alias.
@@ -50,13 +48,14 @@ _BTB1_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
-class AdversarialSpec:
+class AdversarialSpec(CachedTrace):
     """One adversarial microbenchmark: site geometry plus walk length.
 
-    Duck-types the :class:`~repro.workloads.catalog.WorkloadSpec` surface
-    the harness drives (``name``/``generate``/``scaled_length``/``trace``/
-    ``trace_path``/``stats``), so it flows through ``RunSpec``, the result
-    cache, and the CLI unchanged.
+    Shares the catalog's trace cache
+    (:class:`~repro.workloads.catalog.CachedTrace`) and duck-types the rest
+    of the :class:`~repro.workloads.catalog.WorkloadSpec` surface the
+    harness drives (``name``/``generate``/``scaled_length``), so it flows
+    through ``RunSpec``, the result cache, and the CLI unchanged.
     """
 
     name: str
@@ -157,38 +156,6 @@ class AdversarialSpec:
             passes += 1
         return records[:length]
 
-    def trace(self, scale: float | None = None) -> list[TraceRecord]:
-        """Cached trace at ``scale`` (same disk cache as the catalog)."""
-        if scale is None:
-            scale = default_scale()
-        cache_file = _cache_path(self, scale)
-        if cache_file is not None and cache_file.exists():
-            from repro.trace.reader import TraceFormatError, load_trace
-            try:
-                return load_trace(cache_file)
-            except TraceFormatError:
-                pass
-        records = self.generate(scale)
-        if cache_file is not None:
-            _write_cache(cache_file, records)
-        return records
-
-    def trace_path(self, scale: float | None = None) -> Path:
-        """On-disk cached trace path, for streaming consumers."""
-        if scale is None:
-            scale = default_scale()
-        cache_file = _cache_path(self, scale)
-        if cache_file is None:
-            raise RuntimeError(
-                "trace cache disabled; no on-disk trace to stream from")
-        if not cache_file.exists():
-            _write_cache(cache_file, self.generate(scale))
-        return cache_file
-
-    def stats(self, scale: float | None = None) -> TraceStats:
-        """Trace statistics (for the workload listing)."""
-        return collect_stats(self.trace(scale))
-
 
 #: The adversarial workload family, in catalog order.
 ADVERSARIAL_WORKLOADS: tuple[AdversarialSpec, ...] = (
@@ -230,15 +197,6 @@ ADVERSARIAL_WORKLOADS: tuple[AdversarialSpec, ...] = (
         trace_length=60_000,
     ),
 )
-
-
-def adversarial_by_name(name: str) -> AdversarialSpec:
-    """Look up an adversarial workload by (case-insensitive substring) name."""
-    lowered = name.lower()
-    for spec in ADVERSARIAL_WORKLOADS:
-        if lowered in spec.name.lower():
-            return spec
-    raise KeyError(f"no adversarial workload matching {name!r}")
 
 
 def corpus_trace(seed: int, length: int = 350) -> list[TraceRecord]:

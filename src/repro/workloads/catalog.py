@@ -2,10 +2,10 @@
 
 Each :class:`WorkloadSpec` names one of the paper's traces and carries the
 paper's unique-branch counters (Table 4) plus the generator parameters that
-approximate them.  ``trace()`` materializes the dynamic trace; generated
-traces are cached on disk (the binary format of :mod:`repro.trace.writer`)
-keyed by the full parameter set, so repeated experiment runs do not pay
-generation time twice.
+approximate them.  Generated traces are cached on disk (the binary format of
+:mod:`repro.trace.writer`) keyed by the full parameter set, so repeated
+experiment runs do not pay generation time twice: ``trace_path()`` is the
+validated cache file that runs stream from, ``trace()`` the decoded list.
 
 Calibration targets the things the mechanism under study is sensitive to
 (DESIGN.md §1): the unique (taken) branch address population relative to the
@@ -54,8 +54,55 @@ FUNCTIONS_FLOOR = 1_200
 FUNCTIONS_CEILING = 6_500
 
 
+class CachedTrace:
+    """The on-disk trace cache, shared by both workload families.
+
+    A subclass is a frozen dataclass with a ``name`` and a
+    ``generate(scale)`` that builds its trace: the Table 4 synthetics
+    (:class:`WorkloadSpec`) and the adversarial probes
+    (:class:`repro.workloads.adversarial.AdversarialSpec`).  The spec's repr
+    and the scale key the cache file (:func:`_cache_path`), so two specs
+    that differ in any parameter never share a file.
+    """
+
+    def trace_path(self, scale: float | None = None) -> Path | None:
+        """The validated cache file of the trace at ``scale``.
+
+        A file whose header or size is wrong (truncated, stale format) is
+        regenerated, like a missing one.  Returns ``None`` when the trace
+        cache is off (``REPRO_TRACE_CACHE`` set to ``off``/``none``/empty):
+        there is then no file to stream from.
+        """
+        if scale is None:
+            scale = default_scale()
+        cache_file = _cache_path(self, scale)
+        if cache_file is None:
+            return None
+        try:
+            # Cheap validation: open_trace checks header + exact size.
+            open_trace(cache_file).close()
+        except (FileNotFoundError, TraceFormatError):
+            _write_cache(cache_file, self.generate(scale))
+        return cache_file
+
+    def trace(self, scale: float | None = None) -> list[TraceRecord]:
+        """The whole trace at ``scale`` (default: env/1.0) as a list.
+
+        Decoded from :meth:`trace_path`'s file, or generated when the
+        trace cache is off.
+        """
+        if scale is None:
+            scale = default_scale()
+        path = self.trace_path(scale)
+        return self.generate(scale) if path is None else load_trace(path)
+
+    def stats(self, scale: float | None = None) -> TraceStats:
+        """Trace statistics (the measured Table 4 row)."""
+        return collect_stats(self.trace(scale))
+
+
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(CachedTrace):
     """One named workload: paper counters + generator parameters."""
 
     name: str
@@ -102,55 +149,6 @@ class WorkloadSpec:
             return generate_trace(programs[0], length, self.profile)
         return generate_mixed_trace(programs, length, self.mix_slice, self.profile)
 
-    def trace(self, scale: float | None = None) -> list[TraceRecord]:
-        """Cached trace for this workload at ``scale`` (default: env/1.0)."""
-        if scale is None:
-            scale = default_scale()
-        cache_file = _cache_path(self, scale)
-        if cache_file is not None and cache_file.exists():
-            try:
-                return load_trace(cache_file)
-            except TraceFormatError:
-                # Stale or corrupt cache (e.g. written by an older format
-                # version no longer decodable) — fall through and regenerate.
-                pass
-        records = self.generate(scale)
-        if cache_file is not None:
-            _write_cache(cache_file, records)
-        return records
-
-    def trace_path(self, scale: float | None = None) -> Path:
-        """Path to an on-disk copy of the trace, for streaming access.
-
-        Ensures the cached file exists and is decodable (regenerating it
-        if needed) and returns its path, so callers can
-        :func:`repro.trace.reader.open_trace` it instead of materializing
-        the record list.  With the trace cache disabled (``REPRO_TRACE_CACHE``
-        set to ``off``/``none``/empty) there is no stable location to
-        stream from, so this raises ``RuntimeError``; callers fall back to
-        in-memory records.
-        """
-        if scale is None:
-            scale = default_scale()
-        cache_file = _cache_path(self, scale)
-        if cache_file is None:
-            raise RuntimeError(
-                "trace cache disabled; no on-disk trace to stream from"
-            )
-        if cache_file.exists():
-            try:
-                # Cheap validation: open_trace checks header + exact size.
-                open_trace(cache_file).close()
-                return cache_file
-            except TraceFormatError:
-                pass
-        _write_cache(cache_file, self.generate(scale))
-        return cache_file
-
-    def stats(self, scale: float | None = None) -> TraceStats:
-        """Trace statistics (the measured Table 4 row)."""
-        return collect_stats(self.trace(scale))
-
 
 def _write_cache(cache_file: Path, records: list[TraceRecord]) -> None:
     """Atomically publish ``records`` to ``cache_file``.
@@ -192,11 +190,19 @@ def default_scale() -> float:
     return scale
 
 
-def _cache_path(spec: WorkloadSpec, scale: float) -> Path | None:
+def trace_identity(spec: CachedTrace, scale: float) -> str:
+    """Stable identity of one generated trace.
+
+    Keys the trace's cache file and, as the trace key, its checkpoints.
+    """
+    return hashlib.sha256(repr((spec, scale)).encode()).hexdigest()[:16]
+
+
+def _cache_path(spec: CachedTrace, scale: float) -> Path | None:
     root = os.environ.get(CACHE_ENV, ".trace_cache")
     if root in ("", "off", "none"):
         return None
-    key = hashlib.sha256(repr((spec, scale)).encode()).hexdigest()[:16]
+    key = trace_identity(spec, scale)
     safe_name = spec.name.replace("/", "_").replace(" ", "_").replace("+", "_")
     return Path(root) / f"{safe_name}-{key}.ztrc"
 

@@ -5,14 +5,17 @@ import pickle
 
 from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2
 from repro.core.events import OutcomeKind
+from repro.engine.simulator import simulate
 from repro.experiments.common import (
     RunResult,
     RunSpec,
+    execute_plan,
     geometric_mean,
     mean,
     run_workload,
 )
-from repro.sampling import ParallelPlan, SamplingPlan
+from repro.sampling import ParallelPlan, SamplingPlan, run_sampled
+from repro.workloads import catalog
 from repro.workloads.catalog import workload_by_name
 
 SPEC = workload_by_name("TPF")
@@ -92,6 +95,37 @@ class TestRunSpecKeys:
         shipped = pickle.loads(pickle.dumps(plan))
         assert shipped == plan
         assert shipped.fingerprint() == plan.fingerprint()
+
+
+class TestOneTraceRoute:
+    def test_every_plan_streams_the_cache_file(self, monkeypatch):
+        """With the trace cache on, full, sampled and parallel plans all
+        stream the workload's cache file (none decodes the record list)
+        and match runs over the generated records."""
+        records = SPEC.generate(SCALE)
+        sampling = SamplingPlan(interval=400, period=8000, warmup=400)
+        full = simulate(records, config=ZEC12_CONFIG_2)
+        sampled = run_sampled(records, config=ZEC12_CONFIG_2, plan=sampling)
+
+        def refuse(path):
+            raise AssertionError("a plan decoded the whole trace")
+
+        monkeypatch.setattr(catalog, "load_trace", refuse)
+        result, _ = execute_plan(RunSpec(SPEC, ZEC12_CONFIG_2, scale=SCALE))
+        assert result.counters.state_dict() == full.counters.state_dict()
+        assert result.cpi == full.cpi
+        result, streamed = execute_plan(RunSpec(
+            SPEC, ZEC12_CONFIG_2, scale=SCALE, sampling=sampling))
+        assert streamed.measurements == sampled.measurements
+        assert result.counters.state_dict() == \
+            sampled.result.counters.state_dict()
+        assert streamed.cpi == sampled.cpi
+        result, stitched = execute_plan(RunSpec(
+            SPEC, ZEC12_CONFIG_2, scale=SCALE, parallel=ParallelPlan(3),
+            backend="serial"))
+        assert stitched.mode == "exact"
+        assert result.counters.state_dict() == full.counters.state_dict()
+        assert result.cpi == full.cpi
 
 
 class TestRunResult:

@@ -82,12 +82,41 @@ def test_store_load_is_tolerant(tmp_path):
     assert store.load(*identity) is None
 
 
+def test_restore_counts_a_hit_only_once_the_model_accepts(tmp_path):
+    """``restore`` loads into the simulator, and only an accepted state is a
+    hit; a refused one is ``refused`` and a skip-ledger entry."""
+    from repro.telemetry.metrics import REGISTRY
+
+    def counts():
+        metric = REGISTRY.get("repro_checkpoint_store_total")
+        return [metric.value(result=result) if metric else 0.0
+                for result in ("hit", "refused", "miss")]
+
+    store = CheckpointStore(tmp_path)
+    sim = Simulator(config=ZEC12_CONFIG_2)
+    identity = ("trace", ("plan",), 0)
+    state = _warmed_state()
+    path = store.save(sim.model_fingerprint(), *identity, state)
+    before = counts()
+    assert store.restore(sim, *identity) == state
+    assert sim.state_dict() == state
+    assert store.restore(sim, "other-trace", ("plan",), 0) is None
+    stale = dict(state, version=99)
+    save_state(path, stale)
+    fresh = Simulator(config=ZEC12_CONFIG_2)
+    assert store.restore(fresh, *identity) is None
+    assert fresh.state_dict() == Simulator(config=ZEC12_CONFIG_2).state_dict()
+    assert [now - then for now, then in zip(counts(), before)] == [1, 1, 1]
+    assert store.skipped == [
+        (path, "ValueError: checkpoint schema version 99 != supported 2")]
+
+
 def test_store_save_load_entries_clear(tmp_path):
     store = CheckpointStore(tmp_path)
     state = {"version": 1, "payload": [1, 2, 3]}
     store.save("m", "t", ("p",), 0, state)
     store.save("m", "t", ("p",), 1, state)
-    assert store.has("m", "t", ("p",), 0)
+    assert store.load("m", "t", ("p",), 0) == state
     assert store.load("m", "t", ("p",), 1) == state
     assert len(store.entries()) == 2
     assert store.clear() == 2
@@ -172,7 +201,7 @@ def test_clear_tolerates_losing_the_unlink_race(tmp_path, monkeypatch):
 
 
 class TestPrune:
-    """``prune(max_entries|max_age)``: bounding long-lived stores."""
+    """``prune(max_entries)``: bounding long-lived stores."""
 
     def _aged_store(self, tmp_path):
         """A store with entries whose mtimes step 100s apart."""
@@ -197,25 +226,12 @@ class TestPrune:
         survivors = sorted(os.path.getmtime(p) for p in store.entries())
         assert survivors == [1300.0, 1400.0]
 
-    def test_max_age_drops_the_stale(self, tmp_path):
-        store = self._aged_store(tmp_path)
-        # Against now=1500, a 250s horizon keeps mtimes >= 1250.
-        assert store.prune(max_age=250, now=1500.0) == 3
-        assert len(store.entries()) == 2
-
-    def test_limits_compose(self, tmp_path):
-        store = self._aged_store(tmp_path)
-        assert store.prune(max_entries=1, max_age=350, now=1500.0) == 4
-        assert len(store.entries()) == 1
-
     def test_negative_limits_are_rejected(self, tmp_path):
         import pytest
 
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError):
             store.prune(max_entries=-1)
-        with pytest.raises(ValueError):
-            store.prune(max_age=-0.5)
 
     def test_prune_tolerates_the_unlink_race(self, tmp_path, monkeypatch):
         """A file vanishing between listing and unlink is not counted."""

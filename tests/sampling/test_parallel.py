@@ -1,6 +1,7 @@
 """Checkpoint-parallel simulation: bit-identity, stitching, start states."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,13 +18,13 @@ from repro.sampling import (
     run_sampled,
 )
 from repro.sampling.parallel import stitch_deltas
-from repro.workloads.catalog import workload_by_name
+from repro.workloads.catalog import CachedTrace, workload_by_name
 
 SMALL_PLAN = SamplingPlan(interval=400, period=8000, warmup=400)
 
 
 def _source(name: str, scale: float) -> TraceSource:
-    return TraceSource.for_workload(workload_by_name(name), scale)
+    return TraceSource(workload_by_name(name), scale)
 
 
 # -- slice planner ---------------------------------------------------------
@@ -236,10 +237,21 @@ def test_store_missing_a_middle_boundary_stays_exact(tmp_path):
     assert rerun.checkpoints_saved == 1
 
 
+@dataclass(frozen=True)
+class _EmptyWorkload(CachedTrace):
+    """A workload whose generator yields no records."""
+
+    name: str = "empty"
+
+    def generate(self, scale: float = 1.0) -> list:
+        return []
+
+
 def test_empty_trace_is_rejected():
     with pytest.raises(ValueError, match="empty trace"):
-        run_parallel(TraceSource.for_records([]), config=ZEC12_CONFIG_2,
-                     plan=ParallelPlan(2), backend="serial")
+        run_parallel(TraceSource(_EmptyWorkload(), 1.0),
+                     config=ZEC12_CONFIG_2, plan=ParallelPlan(2),
+                     backend="serial")
 
 
 # -- sampled mode: CI-bounded stitching ------------------------------------
@@ -324,36 +336,53 @@ def test_parallel_telemetry_emits_produce_and_end_events():
 # -- trace sources ----------------------------------------------------------
 
 
-def test_trace_source_for_records_round_trips():
-    records = workload_by_name("TPF").trace(0.05)
-    source = TraceSource.for_records(records)
-    assert list(source.open()) == list(records)
-    serial = simulate(records, config=ZEC12_CONFIG_2)
-    stitched = run_parallel(source, config=ZEC12_CONFIG_2,
-                            plan=ParallelPlan(2), backend="serial")
-    assert stitched.result.counters.state_dict() == \
-        serial.counters.state_dict()
-
-
 def test_trace_source_identities_are_stable_and_distinct():
-    a = TraceSource.for_workload(workload_by_name("TPF"), 0.05)
-    b = TraceSource.for_workload(workload_by_name("TPF"), 0.05)
-    c = TraceSource.for_workload(workload_by_name("Informix"), 0.05)
+    a = _source("TPF", 0.05)
+    b = _source("TPF", 0.05)
+    c = _source("Informix", 0.05)
     assert a.identity() == b.identity()
     assert a.identity() != c.identity()
 
 
-def test_trace_source_streams_from_disk(tmp_path):
-    """A path source streams via TraceFile and still stitches exactly."""
-    from repro.trace.writer import write_trace
+def test_trace_source_streams_from_disk(monkeypatch):
+    """With the cache on, the source streams a TraceFile over the cache
+    file (regenerating a truncated one), never decodes the record list,
+    and still stitches exactly."""
+    from repro.trace.reader import TraceFile
+    from repro.workloads import catalog
 
-    records = workload_by_name("TPF").trace(0.05)
-    path = tmp_path / "tpf.trace"
-    with open(path, "wb") as stream:
-        write_trace(stream, records)
+    spec = workload_by_name("TPF")
+    records = spec.generate(0.05)
     serial = simulate(records, config=ZEC12_CONFIG_2)
-    stitched = run_parallel(TraceSource.for_path(path),
-                            config=ZEC12_CONFIG_2,
+    path = spec.trace_path(0.05)
+    path.write_bytes(path.read_bytes()[:1000])
+
+    def refuse(path):
+        raise AssertionError("the source decoded the whole trace")
+
+    monkeypatch.setattr(catalog, "load_trace", refuse)
+    source = _source("TPF", 0.05)
+    with source.open() as trace:
+        assert isinstance(trace, TraceFile)
+        assert list(trace) == records
+    with pytest.raises(ValueError, match="closed"):
+        trace.record(0)  # closed when the block ends
+    stitched = run_parallel(source, config=ZEC12_CONFIG_2,
                             plan=ParallelPlan(4), backend="serial")
+    assert stitched.result.counters.state_dict() == \
+        serial.counters.state_dict()
+
+
+def test_trace_source_generates_with_the_cache_off(monkeypatch):
+    """With the cache off, the source is the generated record list, and a
+    run over it still stitches exactly."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    records = workload_by_name("TPF").generate(0.05)
+    source = _source("TPF", 0.05)
+    with source.open() as trace:
+        assert trace == records
+    serial = simulate(records, config=ZEC12_CONFIG_2)
+    stitched = run_parallel(source, config=ZEC12_CONFIG_2,
+                            plan=ParallelPlan(2), backend="serial")
     assert stitched.result.counters.state_dict() == \
         serial.counters.state_dict()

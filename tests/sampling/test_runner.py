@@ -13,6 +13,8 @@ from repro.sampling import (
     run_sampled,
     save_state,
 )
+from repro.telemetry.metrics import REGISTRY
+from repro.trace.reader import TraceFile
 from repro.workloads.catalog import workload_by_name
 
 SMALL_PLAN = SamplingPlan(interval=400, period=8000, warmup=400)
@@ -109,8 +111,16 @@ def test_save_load_resume_matches_uninterrupted_run(tmp_path):
     assert result.cpi == reference.cpi
 
 
+def _store_counts() -> dict:
+    """``repro_checkpoint_store_total`` by result, process-wide."""
+    metric = REGISTRY.get("repro_checkpoint_store_total")
+    return {result: metric.value(result=result) if metric else 0.0
+            for result in ("hit", "refused", "miss", "skipped", "save")}
+
+
 def test_stale_checkpoint_is_recomputed(tmp_path):
-    """A checkpoint from a different schema degrades to recompute."""
+    """A checkpoint from a different schema degrades to recompute: each is
+    a ``refused`` store result and a skip-ledger entry, never a ``hit``."""
     trace = workload_by_name("TPF").trace(scale=0.1)
     store = CheckpointStore(tmp_path)
     kwargs = dict(config=ZEC12_CONFIG_2, plan=SMALL_PLAN,
@@ -124,7 +134,14 @@ def test_stale_checkpoint_is_recomputed(tmp_path):
         state = store.load(*identity)
         state["version"] = 99_999
         save_state(store.path_for(*identity), state)
+    before = _store_counts()
     redone = run_sampled(trace, **kwargs)
+    after = _store_counts()
+    intervals = len(redone.measurements)
+    assert intervals == 12
+    assert {result: after[result] - before[result] for result in after} == \
+        {"hit": 0, "refused": intervals, "miss": 0, "skipped": 0,
+         "save": intervals}
     assert redone.checkpoints_loaded == 0
     assert redone.checkpoints_saved == len(redone.measurements)
     assert redone.measurements == cold.measurements
@@ -189,41 +206,58 @@ def test_trace_file_window_iteration(tmp_path):
     assert streamed.cpi == in_memory.cpi
 
 
-class _CountingTrace:
-    """A sized pure iterable (no __getitem__, no iter_from) that counts
-    full iteration passes and records yielded."""
+class _CountingTraceFile(TraceFile):
+    """A TraceFile that counts ``iter_from`` passes and records yielded."""
 
-    def __init__(self, records):
-        self._records = list(records)
-        self.passes = 0
-        self.yielded = 0
+    passes = 0
+    yielded = 0
 
-    def __len__(self):
-        return len(self._records)
-
-    def __iter__(self):
+    def iter_from(self, start=0, stop=None):
         self.passes += 1
-        for record in self._records:
+        for record in super().iter_from(start, stop):
             self.yielded += 1
             yield record
 
 
-def test_interval_consumption_is_single_pass():
+def test_interval_consumption_is_single_pass(tmp_path):
     """The O(N*K) regression pin: one stream pass, <= N records read.
 
     The old ``_window`` helper re-iterated a non-seekable trace from
     record 0 for *every* interval; a plan with K intervals read ~K*N
-    records.  The cursor must consume exactly one pass and never read past
-    the last measured interval.
+    records.  Without checkpoints to seek past, the cursor must consume
+    exactly one ``iter_from`` pass and never read past the last measured
+    interval.
     """
+    from repro.trace.writer import write_trace
+
     records = workload_by_name("TPF").trace(scale=0.1)
-    counting = _CountingTrace(records)
-    sampled = run_sampled(counting, config=ZEC12_CONFIG_2, plan=SMALL_PLAN)
+    path = tmp_path / "tpf.trace"
+    with open(path, "wb") as stream:
+        write_trace(stream, records)
+    with _CountingTraceFile(path) as counting:
+        sampled = run_sampled(counting, config=ZEC12_CONFIG_2,
+                              plan=SMALL_PLAN)
     assert counting.passes == 1
     assert counting.yielded <= len(records)
-    # Pure-iterable consumption is not just bounded — it is equivalent.
+    # Streamed consumption is not just bounded — it is equivalent.
     reference = run_sampled(records, config=ZEC12_CONFIG_2, plan=SMALL_PLAN)
     assert _payload(sampled) == _payload(reference)
+
+
+def test_cursor_refuses_a_plain_iterable():
+    """A trace is a sequence or a TraceFile: a sized iterable that is
+    neither is refused up front, before any record is read."""
+    records = workload_by_name("TPF").trace(scale=0.1)
+
+    class Stream:
+        def __len__(self):
+            return len(records)
+
+        def __iter__(self):
+            raise AssertionError("the runner read a refused trace")
+
+    with pytest.raises(TypeError, match="sequence of records or a TraceFile"):
+        run_sampled(Stream(), config=ZEC12_CONFIG_2, plan=SMALL_PLAN)
 
 
 def test_trace_file_windows_reuse_one_stream(tmp_path):

@@ -9,12 +9,14 @@ import asyncio
 import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.simulator import simulate
 from repro.isa.opcodes import BranchKind
+from repro.sampling import CheckpointStore, load_state, save_state
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -387,3 +389,41 @@ class TestMetricsEndpoint:
         assert sum(records_total["samples"].values()) == len(records)
         # Per-session series are merged into the scrape.
         assert "repro_session_processed_records_total" in families
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_scrape_counts_resumes_by_result(self, tmp_path, backend):
+        """A resumed, a stale and a pruned spool entry each show on the
+        scrape under their own ``repro_service_resumes_total`` result."""
+        daemon = _Daemon(tmp_path, backend=backend)
+        try:
+            client = daemon.client
+            spool = CheckpointStore(daemon.spool)
+
+            def suspended() -> tuple[str, Path]:
+                before = set(spool.entries())
+                sid = client.create_session()["id"]
+                client.suspend(sid)
+                (path,) = set(spool.entries()) - before
+                return sid, path
+
+            resumed, _ = suspended()
+            client.resume(resumed)
+            stale, path = suspended()
+            state = load_state(path)
+            state["version"] = 99
+            save_state(path, state)
+            pruned, path = suspended()
+            path.unlink()
+            for sid, problem in ((stale, "schema version 99"),
+                                 (pruned, "no checkpoint")):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.resume(sid)
+                assert excinfo.value.code == "invalid_state"
+                assert problem in excinfo.value.message
+            samples = parse_prometheus(client.metrics_text())[
+                "repro_service_resumes_total"]["samples"]
+            assert samples == {
+                ("repro_service_resumes_total", (("result", result),)): 1.0
+                for result in ("resumed", "refused", "missing")}
+        finally:
+            daemon.stop()

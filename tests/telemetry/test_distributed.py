@@ -49,7 +49,7 @@ def _no_ambient_relay(monkeypatch):
 
 
 def _source() -> TraceSource:
-    return TraceSource.for_workload(workload_by_name(WORKLOAD), SCALE)
+    return TraceSource(workload_by_name(WORKLOAD), SCALE)
 
 
 def _relay_run(tmp_path, k: int, backend: str = "serial"):

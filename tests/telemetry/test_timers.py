@@ -1,37 +1,6 @@
-"""Host-side wall-time phase timers."""
+"""Host-side wall-time phase timer."""
 
-from repro.telemetry import PhaseTimers, phase_timer
-
-
-class TestPhaseTimers:
-    def test_phase_accumulates_wall_time(self):
-        timers = PhaseTimers()
-        with timers.phase("alpha"):
-            pass
-        with timers.phase("alpha"):
-            pass
-        with timers.phase("beta"):
-            pass
-        assert set(timers.phases) == {"alpha", "beta"}
-        assert timers.phases["alpha"] >= 0.0
-        assert timers.phases["beta"] >= 0.0
-
-    def test_phase_records_on_exception(self):
-        timers = PhaseTimers()
-        try:
-            with timers.phase("boom"):
-                raise RuntimeError("expected")
-        except RuntimeError:
-            pass
-        assert "boom" in timers.phases
-
-    def test_merge_into_replays_every_phase(self):
-        timers = PhaseTimers()
-        with timers.phase("alpha"):
-            pass
-        seen = {}
-        timers.merge_into(lambda name, seconds: seen.__setitem__(name, seconds))
-        assert seen == timers.phases
+from repro.telemetry import phase_timer
 
 
 class TestPhaseTimer:

@@ -10,10 +10,10 @@ a perfectly chained control-flow walk (no accidental discontinuities).
 import pytest
 
 from repro.isa.opcodes import BranchKind
+from repro.trace.reader import open_trace
 from repro.workloads.adversarial import (
     ADVERSARIAL_WORKLOADS,
     AdversarialSpec,
-    adversarial_by_name,
     corpus_trace,
 )
 from repro.workloads.catalog import workload_by_name
@@ -42,10 +42,22 @@ class TestCatalog:
         assert workload_by_name(spec.name) is spec
 
     def test_substring_lookup(self):
-        assert adversarial_by_name("tracker-thrash").family == "thrash"
-        assert adversarial_by_name("CAPACITY").family == "capacity"
+        assert workload_by_name("tracker-thrash").family == "thrash"
+        assert workload_by_name("CAPACITY").family == "capacity"
         with pytest.raises(KeyError):
-            adversarial_by_name("nonexistent")
+            workload_by_name("nonexistent")
+
+    def test_trace_path_regenerates_a_truncated_cache_file(self):
+        """The adversarial probes share the catalog's validated cache: a
+        truncated file is regenerated, not handed to a reader."""
+        spec = workload_by_name("adversarial/btb-associativity")
+        path = spec.trace_path(0.02)
+        intact = path.read_bytes()
+        path.write_bytes(intact[:len(intact) // 2])
+        assert spec.trace_path(0.02) == path
+        assert path.read_bytes() == intact
+        with open_trace(path) as trace:
+            assert list(trace) == spec.generate(0.02)
 
 
 class TestGeneration:

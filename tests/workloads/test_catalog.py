@@ -68,6 +68,7 @@ class TestTraceGeneration:
         spec = workload_by_name("TPF")
         trace = spec.trace(scale=0.06)
         assert trace
+        assert spec.trace_path(scale=0.06) is None
 
     def test_workload_is_capacity_relevant_even_scaled(self):
         # Even a scaled slice of a catalog workload must keep a unique
