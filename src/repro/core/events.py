@@ -1,8 +1,13 @@
 """Event records exchanged between the predictor pipeline and the core model.
 
-These small immutable objects are the vocabulary of the simulator:
-predictions produced by the lookahead search, miss reports feeding the BTB2
-trackers, and resolved-branch outcomes flowing back for training.
+These small values are the vocabulary of the simulator: predictions
+produced by the lookahead search, miss reports feeding the BTB2 trackers,
+and resolved-branch outcomes flowing back for training.
+
+``Prediction`` and ``MissReport`` are plain slotted dataclasses, not
+frozen ones: one is built per dynamic branch or perceived miss, and a
+frozen ``__init__`` pays one ``object.__setattr__`` per field.  Nothing
+mutates a value once built, and nothing hashes one.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ class PredictionLevel(enum.Enum):
     BTBP = "btbp"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Prediction:
     """A dynamic prediction emitted by the lookahead search pipeline.
 
@@ -40,7 +45,7 @@ class Prediction:
     used_ctb: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MissReport:
     """A perceived first-level miss (3.4), reported to the BTB2 logic.
 

@@ -29,22 +29,26 @@ from repro.btb.history import PathHistory
 from repro.btb.pht import PHT
 from repro.btb.surprise import SurpriseBHT
 from repro.core.config import ExclusivityMode, PredictorConfig
-from repro.core.events import PredictionLevel
+from repro.core.events import Prediction, PredictionLevel
 from repro.isa.address import ROW_BYTES
 from repro.isa.opcodes import BranchKind
 from repro.trace.record import TraceRecord
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RowHit:
-    """One branch found by a row search, with its source structure."""
+    """One branch found by a row search, with its source structure.
+
+    Like the values of :mod:`repro.core.events`, a plain slotted value: it
+    is built once per row probe and never changed after.
+    """
 
     entry: BTBEntry
     level: PredictionLevel
     from_mru: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Resolution:
     """Content decision for a found branch: direction and target."""
 
@@ -155,16 +159,18 @@ class FirstLevelPredictor:
                 if ctb_target is not None:
                     target = ctb_target
                     used_ctb = True
-        return Resolution(taken=taken, target=target, used_pht=used_pht, used_ctb=used_ctb)
+        return Resolution(taken, target, used_pht, used_ctb)
 
-    def use_prediction(self, hit: RowHit) -> BTBEntry | None:
+    def use_prediction(self, hit: RowHit | Prediction) -> BTBEntry | None:
         """Apply the move protocol after a structure makes a prediction.
 
         A BTB1 prediction refreshes MRU.  A BTBP prediction promotes the
         entry into the BTB1; the displaced BTB1 victim goes to the BTBP and
         (per the exclusivity mode) to the BTB2.  Returns the BTB1 victim
         (``None`` when no entry was displaced) so replacement decisions are
-        observable.
+        observable.  Only ``hit.entry`` and ``hit.level`` are read, so a
+        :class:`~repro.core.events.Prediction` serves as well as the
+        ``RowHit`` it was made from.
         """
         if hit.level is PredictionLevel.BTB1:
             self.btb1.touch(hit.entry)

@@ -169,7 +169,7 @@ class LookaheadSearch:
         """
         reports: list[MissReport] = []
         if row_address(branch_address) < row_address(self.search_address):
-            return SearchOutcome(prediction=None, miss_reports=[])
+            return SearchOutcome(None, reports)
         self._walk_gap(branch_address, reports)
         hit = self.hierarchy.first_hit_in_row(self.search_address)
         if hit is None:
@@ -178,11 +178,11 @@ class LookaheadSearch:
             self._note_empty_search(reports)
             self.cycle += SEQUENTIAL_CYCLES_PER_ROW
             self.search_address = next_row(self.search_address)
-            return SearchOutcome(prediction=None, miss_reports=self._flush(reports))
+            return SearchOutcome(None, self._flush(reports))
         if hit.entry.address != branch_address:
-            return SearchOutcome(prediction=None, miss_reports=self._flush(reports))
+            return SearchOutcome(None, self._flush(reports))
         prediction = self._predict(hit)
-        return SearchOutcome(prediction=prediction, miss_reports=self._flush(reports))
+        return SearchOutcome(prediction, self._flush(reports))
 
     def run_ahead(self, until_cycle: int) -> list[MissReport]:
         """Free-run sequential searches until ``until_cycle``.
@@ -240,12 +240,8 @@ class LookaheadSearch:
             self._first_empty_address = self.search_address
         self._consecutive_empty += 1
         if self._consecutive_empty >= self.miss_limit:
-            reports.append(
-                MissReport(
-                    search_address=self._first_empty_address,
-                    cycle=self.cycle + MISS_DETECT_LATENCY,
-                )
-            )
+            reports.append(MissReport(self._first_empty_address,
+                                      self.cycle + MISS_DETECT_LATENCY))
             self.miss_reports_made += 1
             self._consecutive_empty = 0
 
@@ -253,19 +249,17 @@ class LookaheadSearch:
         """Emit a prediction for ``hit`` and re-index the searcher."""
         self.searches += 1
         self._consecutive_empty = 0
-        resolution = self.hierarchy.resolve_content(hit.entry)
-        cost = self._prediction_cost(hit, resolution.taken)
-        ready = self.cycle + BROADCAST_LATENCY
+        entry = hit.entry
+        address = entry.address
+        resolution = self.hierarchy.resolve_content(entry)
+        taken = resolution.taken
+        target = resolution.target
+        cost = self._prediction_cost(hit, taken)
+        # Positional, in field order: passing keywords would double the
+        # cost of building one on this per-branch path.
         prediction = Prediction(
-            branch_address=hit.entry.address,
-            taken=resolution.taken,
-            target=resolution.target,
-            level=hit.level,
-            ready_cycle=ready,
-            entry=hit.entry,
-            from_mru=hit.from_mru,
-            used_pht=resolution.used_pht,
-            used_ctb=resolution.used_ctb,
+            address, taken, target, hit.level, self.cycle + BROADCAST_LATENCY,
+            entry, hit.from_mru, resolution.used_pht, resolution.used_ctb,
         )
         self.predictions_made += 1
         if self.telemetry is not None:
@@ -276,17 +270,17 @@ class LookaheadSearch:
             # and the prediction's side effects from identical pre-state.
             self.probe.on_predict(self.search_address, prediction)
         self.cycle += cost
-        if resolution.taken and resolution.target is not None:
-            self._last_taken_address = hit.entry.address
+        if taken and target is not None:
+            self._last_taken_address = address
             self._last_not_taken_row = None
             self.hierarchy.fit.train(
-                hit.entry.address, self.hierarchy.btb1.row_index(resolution.target)
+                address, self.hierarchy.btb1.row_index(target)
             )
-            self.search_address = resolution.target
+            self.search_address = target
         else:
             self._last_taken_address = None
-            self._last_not_taken_row = row_address(hit.entry.address)
-            self.search_address = hit.entry.address + 2
+            self._last_not_taken_row = row_address(address)
+            self.search_address = address + 2
         return prediction
 
     def _prediction_cost(self, hit: RowHit, taken: bool) -> int:

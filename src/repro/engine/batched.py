@@ -201,16 +201,6 @@ class BatchedSimulator:
         if hook is not None:
             hook(self._consumed + index, reason)
 
-    def _preload_busy(self) -> bool:
-        """Whether transfer machinery is active (fast path must not run)."""
-        preload = self._sim.preload
-        if preload is None:
-            return False
-        transfer = preload.transfer
-        return bool(
-            transfer._queue or transfer._inflight or preload._block_waiters
-        )
-
     def _consume(self, chunk: list) -> None:
         """Process one chunk: fast spans separated by slow-path records."""
         sim = self._sim
@@ -227,7 +217,7 @@ class BatchedSimulator:
             line_shift = sim.timing.icache_line_bytes.bit_length() - 1
             shift = (
                 min(line_shift, SECTOR_SHIFT)
-                if sim.config.steering_enabled and sim.preload is not None
+                if sim._ordering is not None
                 else line_shift
             )
             events = _event_indices(addrs, nxts, isbr, shift)
@@ -303,13 +293,13 @@ class BatchedSimulator:
             preload.report_icache_miss if preload is not None else None
         )
         p_advance = preload.advance if preload is not None else None
-        trans = preload.transfer if preload is not None else None
-        steering = preload is not None and sim.config.steering_enabled
+        # ``PreloadEngine.idle``, the one idle test; while idle every
+        # per-record advance is a clock max, replayed once at the end.
+        p_idle = preload.idle if preload is not None else None
         # Observed at events only: a quiet record lies in the sector of the
-        # record before it, where ``OrderingTracker.observe`` is a no-op.
-        tracker_observe = (
-            preload.ordering_tracker.observe if steering else None
-        )
+        # record before it, where the same-sector rule makes ``observe`` a
+        # no-op; events test the rule as ``Simulator.step`` does.
+        ordering = sim._ordering
         line_fills = sim._line_fills
         prune_limit = sim.LINE_FILL_PRUNE_LIMIT
         ceil = math.ceil
@@ -347,7 +337,7 @@ class BatchedSimulator:
         n = len(chunk)
         ne = len(events)
         reason = None
-        busy = self._preload_busy()
+        busy = p_idle is not None and not p_idle()
         while pos < n:
             event = events[ei] if ei < ne else n
             gap = event - pos
@@ -365,8 +355,7 @@ class BatchedSimulator:
                     for _ in repeat(None, gap):
                         cycle += base
                         p_advance(int(cycle))
-                    busy = bool(trans._queue or trans._inflight
-                                or preload._block_waiters)
+                    busy = not p_idle()
                 else:
                     for _ in repeat(None, gap):
                         cycle += base
@@ -491,8 +480,7 @@ class BatchedSimulator:
                             # enqueuing transfers: subsequent records then
                             # need per-record preload advances.
                             report_icache_miss(address, int(cycle))
-                            busy = bool(trans._queue or trans._inflight
-                                        or preload._block_waiters)
+                            busy = not p_idle()
                 branches += 1
                 if taken:
                     taken_branches += 1
@@ -587,8 +575,9 @@ class BatchedSimulator:
                 bht_update(address, record.kind, taken)
                 history_record(address, taken)
                 seen_add(address)
-                if tracker_observe is not None:
-                    tracker_observe(address)
+                if ordering is not None \
+                        and address >> SECTOR_SHIFT != ordering.last_sector:
+                    ordering.observe(address)
                 pos += 1
                 ei += 1
             else:
@@ -630,10 +619,10 @@ class BatchedSimulator:
                             "icache_miss", 0.0) + l2
                         if report_icache_miss is not None:
                             report_icache_miss(address, int(cycle))
-                            busy = bool(trans._queue or trans._inflight
-                                        or preload._block_waiters)
-                if tracker_observe is not None:
-                    tracker_observe(address)
+                            busy = not p_idle()
+                if ordering is not None \
+                        and address >> SECTOR_SHIFT != ordering.last_sector:
+                    ordering.observe(address)
                 pos += 1
                 ei += 1
 

@@ -49,6 +49,7 @@ from repro.engine.predictor import Predictor
 from repro.isa.address import block_address, sector_address
 from repro.metrics.counters import SimCounters
 from repro.preload.engine import PreloadEngine
+from repro.preload.ordering import SECTOR_SHIFT
 from repro.trace.record import TraceRecord
 
 
@@ -140,6 +141,14 @@ class Simulator(Predictor):
             if self.btb2 is not None
             else None
         )
+        #: The ordering tracker ``step`` feeds completing instructions to
+        #: (``PreloadEngine.observe_completion``), or ``None`` when steering
+        #: is off or there is no preload engine.
+        self._ordering = (
+            self.preload.ordering_tracker
+            if self.preload is not None and config.steering_enabled
+            else None
+        )
         self.search = LookaheadSearch(
             self.hierarchy,
             miss_limit=config.miss_search_limit,
@@ -207,8 +216,19 @@ class Simulator(Predictor):
             batched.feed(chunk)
 
     def step(self, record: TraceRecord) -> None:
-        """Simulate one trace record."""
+        """Simulate one trace record.
+
+        Once per record the preload engine advances to the decode clock
+        and the completing instruction is fed to the ordering tracker.
+        Both calls are skipped when they would change nothing but the
+        transfer clock: while the engine is idle (:meth:`PreloadEngine.idle
+        <repro.preload.engine.PreloadEngine.idle>`) the clock is raised
+        here, and an address in the tracker's last sector is not fed
+        (:attr:`OrderingTracker.last_sector
+        <repro.preload.ordering.OrderingTracker.last_sector>`).
+        """
         address = record.address
+        kind = record.kind
         if not self._started:
             self.search.restart(address, 0)
             self._started = True
@@ -227,19 +247,34 @@ class Simulator(Predictor):
             self._line_fills.clear()
             if self.telemetry is not None:
                 self.telemetry.on_context_switch(self._cycle, address)
-        self._expected_address = record.next_address
+        # ``record.next_address``, inline.
+        if kind is not None and record.taken:
+            target = record.target
+            if target is None:
+                raise ValueError(f"taken branch at {address:#x} has no target")
+            self._expected_address = target
+        else:
+            self._expected_address = address + record.length
         self.counters.instructions += 1
         self._cycle += self._base_decode_cycles
         preload = self.preload
         if preload is not None:
-            preload.advance(int(self._cycle))
+            cycle = int(self._cycle)
+            if preload.idle():
+                transfer = preload.transfer
+                if cycle > transfer.clock:
+                    transfer.clock = cycle
+            else:
+                preload.advance(cycle)
         line = address & self._line_mask
         if line != self._current_line:
             self._fetch(address, line)
-        if record.kind is not None:
+        if kind is not None:
             self._branch(record)
-        if preload is not None:
-            preload.observe_completion(address)
+        ordering = self._ordering
+        if ordering is not None \
+                and address >> SECTOR_SHIFT != ordering.last_sector:
+            ordering.observe(address)
         if self.audit is not None:
             self.audit.after_step(self, record)
         if self.telemetry is not None:
@@ -608,9 +643,7 @@ class Simulator(Predictor):
         """A prediction was available in time: apply it and resolve."""
         if self.audit is not None:
             self.audit.on_prediction_used(self.hierarchy, prediction)
-        victim = self.hierarchy.use_prediction(
-            RowHit(prediction.entry, prediction.level, prediction.from_mru)
-        )
+        victim = self.hierarchy.use_prediction(prediction)
         correct_direction = prediction.taken == record.taken
         correct_target = (not record.taken) or prediction.target == record.target
         if correct_direction and correct_target:

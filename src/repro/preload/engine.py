@@ -202,6 +202,22 @@ class PreloadEngine:
         if self.config.steering_enabled:
             self.ordering_tracker.observe(address)
 
+    def idle(self) -> bool:
+        """Whether :meth:`advance` has nothing to do but move the clock.
+
+        True when no BTB2 row read is queued or in flight and no BLOCK-mode
+        wait is armed.  Then ``advance(cycle)`` only raises
+        ``transfer.clock`` to ``cycle``, so a caller that advances once per
+        record (``Simulator.step``) may skip the call and raise the clock
+        itself, and the batched core may run quiet records without
+        per-record advances.  Only this engine's own methods (the reports,
+        :meth:`advance`, :meth:`flush`, :meth:`load_state_dict`) change the
+        answer.
+        """
+        transfer = self.transfer
+        return not (transfer._queue or transfer._inflight
+                    or self._block_waiters)
+
     def advance(self, cycle: int) -> None:
         """Advance transfer timing and expire BLOCK-mode waits."""
         self.transfer.advance(cycle)

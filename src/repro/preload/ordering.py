@@ -188,22 +188,27 @@ class OrderingTracker:
         self._demand_quartile = 0
         self._current_quartile = 0
         self._pending: OrderingEntry | None = None
-        # Sector (``address >> SECTOR_SHIFT``) of the last observed address.
-        # Derived from the state above, so not snapshot state; ``None``
-        # whenever that state was replaced (flush, restore).
-        self._last_sector: int | None = None
+        #: Sector (``address >> SECTOR_SHIFT``) of the last observed address.
+        #: Derived from the state above, so not snapshot state; ``None``
+        #: whenever that state was replaced (flush, restore).
+        #:
+        #: The same-sector rule: :meth:`observe` changes nothing for an
+        #: address in this sector (same block, same quartile, its sector
+        #: bit already set).  Callers that complete an instruction per
+        #: record (``Simulator.step``, the batched core) test it
+        #: themselves and skip the call; most completing instructions
+        #: follow one in the same 128 bytes.
+        self.last_sector: int | None = None
 
     def observe(self, address: int) -> None:
         """Fold one completing instruction's address into the tracking state.
 
-        An address in the last observed sector changes nothing (same block,
-        same quartile, its sector bit already set), so it returns at once:
-        most completing instructions follow one in the same 128 bytes.
+        Returns at once under the same-sector rule (:attr:`last_sector`).
         """
         sector = address >> SECTOR_SHIFT
-        if sector == self._last_sector:
+        if sector == self.last_sector:
             return
-        self._last_sector = sector
+        self.last_sector = sector
         block = block_address(address)
         quartile = quartile_in_block(address)
         if block != self._block:
@@ -227,7 +232,7 @@ class OrderingTracker:
         """Commit the in-flight block entry (end of simulation)."""
         self._commit()
         self._block = None
-        self._last_sector = None
+        self.last_sector = None
 
     def state_dict(self) -> dict:
         """Snapshot of the in-flight tracking state (table held separately)."""
@@ -250,7 +255,7 @@ class OrderingTracker:
             if state["pending"] is not None
             else None
         )
-        self._last_sector = None
+        self.last_sector = None
 
 
 def classify_sectors(

@@ -19,12 +19,15 @@ back one shared ``TraceRecord`` per distinct packed value.  Records are
 immutable and nothing depends on their identity, so sharing them changes
 only time and memory: a trace revisits the same instructions, and few of
 its records are distinct (36,859 of the 510,000 records of DayTrader
-DBServ at scale 0.3).  Each caller bounds the memo's scope to what it
-already holds: :func:`load_trace` keeps one memo for the whole file (the
-list it returns holds every record anyway); streaming readers keep one per
-read chunk of :data:`CHUNK_RECORDS` records (:func:`iter_trace`,
-:meth:`TraceFile.iter_from`) or per :meth:`TraceStreamDecoder.feed` call,
-so neither a long sampled window nor a service session can grow it.
+DBServ at scale 0.3).  A memo miss fills a new record through its slot
+setters rather than the frozen ``__init__``; :func:`_decode`, the
+per-record reference, serves single-record reads.  Each caller bounds the
+memo's scope to what it already holds: :func:`load_trace` keeps one memo
+for the whole file (the list it returns holds every record anyway);
+streaming readers keep one per read chunk of :data:`CHUNK_RECORDS` records
+(:func:`iter_trace`, :meth:`TraceFile.iter_from`) or per
+:meth:`TraceStreamDecoder.feed` call, so neither a long sampled window nor
+a service session can grow it.
 """
 
 from __future__ import annotations
@@ -87,22 +90,46 @@ def _decode(raw: bytes, version: int) -> TraceRecord:
     )
 
 
+#: The slot setters of ``TraceRecord``.  The frozen dataclass ``__init__``
+#: pays one ``object.__setattr__`` per field; :func:`_decode_records` fills
+#: a bare instance through these instead, which builds the same record.
+_SET_ADDRESS, _SET_LENGTH, _SET_KIND, _SET_TAKEN, _SET_TARGET = (
+    TraceRecord.__dict__[name].__set__
+    for name in ("address", "length", "kind", "taken", "target")
+)
+
+
 def _decode_records(raw, version: int, memo: dict) -> list[TraceRecord]:
     """Decode ``raw``, a whole number of packed records, in order.
 
     ``memo`` maps each packed ``(meta, address, target)`` value already
     decoded to its record, so equal packed records come back as one
-    object.  A miss re-packs the fields for :func:`_decode`, which stays
-    the one per-record decoder.
+    object.  A miss builds the record straight from the unpacked fields,
+    by the rules of :func:`_decode` (the per-record reference the tests
+    pin this against, malformed rows included).
     """
     records: list[TraceRecord] = []
     append = records.append
     get = memo.get
-    pack = RECORD.pack
+    kinds = CODE_KINDS.get
+    new = object.__new__
+    v1 = version < 2
     for fields in RECORD.iter_unpack(raw):
         record = get(fields)
         if record is None:
-            record = memo[fields] = _decode(pack(*fields), version)
+            meta, address, target = fields
+            kind = kinds((meta >> 3) & 0x7)
+            taken = bool(meta & TAKEN_BIT)
+            if v1:
+                has_target = taken or (kind is not None and target)
+            else:
+                has_target = meta & TARGET_VALID_BIT
+            record = memo[fields] = new(TraceRecord)
+            _SET_ADDRESS(record, address)
+            _SET_LENGTH(record, meta & 0x7)
+            _SET_KIND(record, kind)
+            _SET_TAKEN(record, taken)
+            _SET_TARGET(record, target if has_target else None)
         append(record)
     return records
 
