@@ -13,7 +13,7 @@ target, and the PHT/CTB override bits travel with the entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.isa.opcodes import BranchKind
 
@@ -110,21 +110,23 @@ class BTBEntry:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> list:
-        """JSON-serializable snapshot of this entry: one positional row.
+        """This entry's fields as one positional row, the kind by name.
 
         ``[address, target, kind name, counter, use_pht, use_ctb,
-        ctb_confidence, bimodal_misses, target_misses]`` — the field order.
-        Entries are most of a checkpoint, so they are rows rather than
-        keyed objects (simulator state schema v2).
+        ctb_confidence, bimodal_misses, target_misses]``: the field order
+        (:data:`STATE_FIELDS`).  The lockstep oracle compares BTB rows
+        entry by entry with it; a table snapshot stores the same fields as
+        columns (:meth:`repro.btb.storage.BranchTargetBuffer.state_dict`).
         """
         return [self.address, self.target, self.kind.name, self.counter,
                 self.use_pht, self.use_ctb, self.ctb_confidence,
                 self.bimodal_misses, self.target_misses]
 
-    @classmethod
-    def from_state_dict(cls, state: list) -> "BTBEntry":
-        """Reconstruct an entry snapshotted by :meth:`state_dict`."""
-        (address, target, kind, counter, use_pht, use_ctb, ctb_confidence,
-         bimodal_misses, target_misses) = state
-        return cls(address, target, BranchKind[kind], counter, use_pht,
-                   use_ctb, ctb_confidence, bimodal_misses, target_misses)
+
+#: The :class:`BTBEntry` fields in constructor order: the order of
+#: :meth:`BTBEntry.state_dict` and the columns of a BTB table snapshot.
+STATE_FIELDS = tuple(entry_field.name for entry_field in fields(BTBEntry))
+
+#: Branch kinds by name.  Snapshots store a kind's name, so restoring one
+#: never depends on the member order of :class:`BranchKind`.
+KINDS = {kind.name: kind for kind in BranchKind}

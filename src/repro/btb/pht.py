@@ -72,21 +72,42 @@ class PHT:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Sparse JSON-serializable snapshot: ``[index, tag, counter]``."""
+        """Sparse JSON-serializable snapshot: one list per column.
+
+        ``table`` holds the occupied slot indices in ascending order and
+        each slot's ``tag`` and ``counter`` in the same order.
+        """
+        table = self._table
+        occupied = [index for index, slot in enumerate(table)
+                    if slot is not None]
+        slots = [table[index] for index in occupied]
         return {
-            "table": [
-                [index, slot.tag, slot.counter]
-                for index, slot in enumerate(self._table)
-                if slot is not None
-            ],
+            "table": {
+                "index": occupied,
+                "tag": [slot.tag for slot in slots],
+                "counter": [slot.counter for slot in slots],
+            },
             "tag_hits": self.tag_hits,
             "tag_misses": self.tag_misses,
         }
 
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless the snapshot's columns agree in length."""
+        if len(set(map(len, state["table"].values()))) > 1:
+            raise ValueError("PHT snapshot: its columns differ in length")
+
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        self._table = [None] * self.entries
-        for index, tag, counter in state["table"]:
-            self._table[index] = _PHTEntry(tag=tag, counter=counter)
+        """Restore a snapshot taken by :meth:`state_dict`.
+
+        Raises ``ValueError``, and changes nothing, when :meth:`check_state`
+        refuses the snapshot.
+        """
+        self.check_state(state)
+        columns = state["table"]
+        table = [None] * self.entries
+        for index, slot in zip(columns["index"],
+                               map(_PHTEntry, columns["tag"], columns["counter"])):
+            table[index] = slot
+        self._table = table
         self.tag_hits = state["tag_hits"]
         self.tag_misses = state["tag_misses"]

@@ -18,9 +18,10 @@ ordering, not the encoding).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator
 
-from repro.btb.entry import BTBEntry
+from repro.btb.entry import KINDS, STATE_FIELDS, BTBEntry
 from repro.isa.address import ROW_BYTES, row_address
 
 
@@ -190,34 +191,65 @@ class BranchTargetBuffer:
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot: occupied rows (MRU-first) + counters.
+        """JSON-serializable snapshot: occupied rows, entry columns, counters.
 
-        Rows are stored sparsely as ``[index, [entry, ...]]`` pairs; way
-        order is the LRU order, so a restore reproduces replacement behavior
-        exactly.  Subclasses extend this with their own counters.
+        ``rows`` lists the occupied row indices in ascending order and
+        ``ways`` how many entries each holds.  ``entries`` maps every
+        :data:`~repro.btb.entry.STATE_FIELDS` name to one list over all
+        entries, row after row, each row MRU-first: way order is the LRU
+        order, so a restore reproduces replacement behavior exactly.
+        Kinds are stored by name.  Subclasses extend this with their own
+        counters.
         """
+        rows = self._rows
+        occupied = [index for index, ways in enumerate(rows) if ways]
+        entries = [entry for index in occupied for entry in rows[index]]
+        columns = {name: list(map(attrgetter(name), entries))
+                   for name in STATE_FIELDS}
+        columns["kind"] = [kind._name_ for kind in columns["kind"]]
         return {
-            "rows": [
-                [index, [entry.state_dict() for entry in ways]]
-                for index, ways in enumerate(self._rows)
-                if ways
-            ],
+            "rows": occupied,
+            "ways": [len(rows[index]) for index in occupied],
+            "entries": columns,
             "installs": self.installs,
             "evictions": self.evictions,
         }
 
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless the snapshot's columns and rows agree.
+
+        :meth:`load_state_dict` runs this first; a caller that restores
+        several tables runs it for each before loading any
+        (:meth:`repro.engine.simulator.Simulator.load_state_dict`).
+        """
+        columns = state["entries"]
+        total = sum(state["ways"])
+        if len(state["rows"]) != len(state["ways"]) or any(
+                len(columns[name]) != total for name in STATE_FIELDS):
+            raise ValueError(
+                f"{self.name} snapshot: entry columns disagree with the "
+                f"{total} entries its rows hold")
+
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.
 
-        Entries are rebuilt as fresh objects, preserving the level
-        object-exclusivity invariant (no object shared across structures).
+        Builds every entry in one pass over the columns.  Entries are fresh
+        objects, preserving the level object-exclusivity invariant (no
+        object shared across structures).  Raises ``ValueError``, and
+        changes nothing, when :meth:`check_state` refuses the snapshot.
         """
-        for ways in self._rows:
+        self.check_state(state)
+        columns = state["entries"]
+        entries = list(map(BTBEntry, *(
+            map(KINDS.__getitem__, columns[name]) if name == "kind"
+            else columns[name] for name in STATE_FIELDS)))
+        rows = self._rows
+        for ways in rows:
             ways.clear()
-        for index, ways in state["rows"]:
-            self._rows[index] = [
-                BTBEntry.from_state_dict(entry) for entry in ways
-            ]
+        start = 0
+        for index, count in zip(state["rows"], state["ways"]):
+            rows[index] = entries[start:start + count]
+            start += count
         self.installs = state["installs"]
         self.evictions = state["evictions"]
 

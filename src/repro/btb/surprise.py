@@ -60,22 +60,40 @@ class SurpriseBHT:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Sparse snapshot: ``[index, bit]`` for every written slot."""
+        """Sparse snapshot: the written slots' indices and their bits.
+
+        ``bits`` holds the written slot indices in ascending order and each
+        slot's ``bit`` in the same order.
+        """
+        bits = self._bits
+        written = [index for index, bit in enumerate(bits) if bit is not None]
         return {
-            "bits": [
-                [index, bit]
-                for index, bit in enumerate(self._bits)
-                if bit is not None
-            ],
+            "bits": {
+                "index": written,
+                "bit": [bits[index] for index in written],
+            },
             "guesses": self.guesses,
             "correct_guesses": self.correct_guesses,
         }
 
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless the snapshot's columns agree in length."""
+        if len(set(map(len, state["bits"].values()))) > 1:
+            raise ValueError(
+                "surprise BHT snapshot: its columns differ in length")
+
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        self._bits = [None] * self.entries
-        for index, bit in state["bits"]:
-            self._bits[index] = bit
+        """Restore a snapshot taken by :meth:`state_dict`.
+
+        Raises ``ValueError``, and changes nothing, when :meth:`check_state`
+        refuses the snapshot.
+        """
+        self.check_state(state)
+        columns = state["bits"]
+        bits = [None] * self.entries
+        for index, bit in zip(columns["index"], columns["bit"]):
+            bits[index] = bit
+        self._bits = bits
         self.guesses = state["guesses"]
         self.correct_guesses = state["correct_guesses"]
 

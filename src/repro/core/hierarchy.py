@@ -288,6 +288,19 @@ class FirstLevelPredictor:
             "surprise_installs": self.surprise_installs,
         }
 
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` where a table would refuse its snapshot.
+
+        Runs every column table's ``check_state``, so a caller can refuse a
+        snapshot before :meth:`load_state_dict` changes anything.
+        """
+        self.btb1.check_state(state["btb1"])
+        if self.btbp is not None:
+            self.btbp.check_state(state["btbp"])
+        self.pht.check_state(state["pht"])
+        self.ctb.check_state(state["ctb"])
+        self.surprise_bht.check_state(state["surprise_bht"])
+
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
         self.btb1.load_state_dict(state["btb1"])

@@ -92,9 +92,11 @@ class Simulator(Predictor):
 
     #: Version of the :meth:`state_dict` schema.  Bump on any change to what
     #: a snapshot contains or how it is laid out; :meth:`load_state_dict`
-    #: refuses other versions.  v2 writes BTB entries as positional rows
-    #: (:meth:`repro.btb.entry.BTBEntry.state_dict`).
-    STATE_VERSION = 2
+    #: refuses other versions.  v2 wrote BTB entries as positional rows; v3
+    #: writes the BTB levels, the PHT, the CTB and the surprise BHT as one
+    #: list per column
+    #: (:meth:`repro.btb.storage.BranchTargetBuffer.state_dict`).
+    STATE_VERSION = 3
 
     #: 4 KB blocks remembered by the functional-warming bulk preload
     #: (:meth:`warm_step`): a block already preloaded this recently is not
@@ -509,6 +511,13 @@ class Simulator(Predictor):
         transfers, counters, and the simulator's own fetch/clock state.
         Attached observers (audit, telemetry) are wiring, not state, and
         are not included.
+
+        The bulk of a warmed state is laid out as columns: each BTB level
+        writes its occupied rows, their way counts and one list per entry
+        field, and the PHT, CTB and surprise BHT one index list plus one
+        list per value.  Restoring rebuilds each table in one pass, and the
+        checkpoint codec (:mod:`repro.sampling.checkpoint`) stores the
+        integer columns as raw sections.
         """
         return {
             "version": self.STATE_VERSION,
@@ -539,8 +548,8 @@ class Simulator(Predictor):
         """Restore a snapshot taken by :meth:`state_dict`.
 
         Raises ``ValueError`` on a schema-version or model-fingerprint
-        mismatch, before touching any state, rather than restoring into an
-        incompatible simulator.
+        mismatch, or on a table whose columns disagree, before touching any
+        state, rather than restoring into an incompatible simulator.
         """
         if state.get("version") != self.STATE_VERSION:
             raise ValueError(
@@ -553,6 +562,9 @@ class Simulator(Predictor):
                 f"(snapshot model {state.get('model')!r}, "
                 f"this simulator {self.model_fingerprint()!r})"
             )
+        self.hierarchy.check_state(state["hierarchy"])
+        if self.btb2 is not None:
+            self.btb2.check_state(state["btb2"])
         self._cycle = state["cycle"]
         self._started = state["started"]
         self._expected_address = state["expected_address"]

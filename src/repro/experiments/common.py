@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.atomic import publish
 from repro.audit import Auditor, audit_from_env
 from repro.core.config import PredictorConfig
 from repro.core.events import OutcomeKind
@@ -303,19 +304,17 @@ def load_cached_run(key: str) -> RunResult | None:
 def store_cached_run(key: str, run: RunResult) -> None:
     """Publish ``run`` under fingerprint ``key``, atomically.
 
-    The payload is written to a writer-private temp file and moved into
-    place with :func:`os.replace`, so concurrent readers see either the old
-    entry or the new one, never a torn write.  Concurrent writers of the
-    same fingerprint produce identical scientific payloads; whichever
-    rename lands last wins.
+    The payload is written to a writer-private scratch file and moved into
+    place (:func:`repro.atomic.publish`), so concurrent readers see either
+    the old entry or the new one, never a torn write.  Concurrent writers
+    of the same fingerprint produce identical scientific payloads;
+    whichever rename lands last wins.
     """
     path = cache_path(key)
     if path is None:
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_suffix(f".tmp{os.getpid()}")
-    scratch.write_text(json.dumps(dataclasses.asdict(run)))
-    os.replace(scratch, path)  # atomic vs concurrent readers and writers
+    with publish(path) as scratch:
+        scratch.write_text(json.dumps(dataclasses.asdict(run)))
 
 
 def _sampled_info(sampled: SampledResult) -> dict:

@@ -136,7 +136,8 @@ def _diff_state(production, reference, path: str = "") -> tuple[str, str] | None
     """First differing path between two snapshot trees, or ``None``.
 
     Returns ``(path, detail)`` — the path doubles as the divergence's
-    structure name (e.g. ``hierarchy.btb1.rows``).
+    structure name (e.g. ``hierarchy.btb1.entries.counter[17]``: the
+    counter column of the BTB1 snapshot, at its 18th entry in row order).
     """
     if isinstance(production, dict) and isinstance(reference, dict):
         for key in sorted(set(production) | set(reference), key=str):

@@ -265,15 +265,23 @@ class RefBTB:
 
     def state_dict(self) -> dict:
         """Production :class:`~repro.btb.storage.BranchTargetBuffer` schema."""
-        rows = []
+        rows, ways = [], []
+        columns = {name: [] for name in (
+            "address", "target", "kind", "counter", "use_pht", "use_ctb",
+            "ctb_confidence", "bimodal_misses", "target_misses")}
         for index, slots in enumerate(self._rows):
             if slots:
                 ordered = sorted(slots, key=lambda s: s.stamp, reverse=True)
-                rows.append(
-                    [index, [slot.entry.state_dict() for slot in ordered]]
-                )
+                rows.append(index)
+                ways.append(len(ordered))
+                for slot in ordered:
+                    for column, value in zip(columns.values(),
+                                             slot.entry.state_dict()):
+                        column.append(value)
         return {
             "rows": rows,
+            "ways": ways,
+            "entries": columns,
             "installs": self.installs,
             "evictions": self.evictions,
         }
@@ -354,10 +362,13 @@ class RefPHT:
             slot[1] = max(STRONG_NOT_TAKEN, slot[1] - 1)
 
     def state_dict(self) -> dict:
+        occupied = sorted(self._table)
         return {
-            "table": [
-                [index, *self._table[index]] for index in sorted(self._table)
-            ],
+            "table": {
+                "index": occupied,
+                "tag": [self._table[index][0] for index in occupied],
+                "counter": [self._table[index][1] for index in occupied],
+            },
             "tag_hits": self.tag_hits,
             "tag_misses": self.tag_misses,
         }
@@ -390,10 +401,13 @@ class RefCTB:
         self._table[index] = [_tag(branch_address), target]
 
     def state_dict(self) -> dict:
+        occupied = sorted(self._table)
         return {
-            "table": [
-                [index, *self._table[index]] for index in sorted(self._table)
-            ],
+            "table": {
+                "index": occupied,
+                "tag": [self._table[index][0] for index in occupied],
+                "target": [self._table[index][1] for index in occupied],
+            },
             "tag_hits": self.tag_hits,
             "tag_misses": self.tag_misses,
         }
@@ -470,9 +484,12 @@ class RefSurpriseBHT:
             self.correct_guesses += 1
 
     def state_dict(self) -> dict:
+        written = sorted(self._bits)
         return {
-            "bits": [[index, self._bits[index]]
-                     for index in sorted(self._bits)],
+            "bits": {
+                "index": written,
+                "bit": [self._bits[index] for index in written],
+            },
             "guesses": self.guesses,
             "correct_guesses": self.correct_guesses,
         }

@@ -18,9 +18,10 @@ Checks (name -> meaning):
 
 * ``determinism`` — two independent runs over the same trace end in the
   same state and counters, bit for bit.
-* ``checkpoint`` — splitting a run at its midpoint through a JSON
-  round-tripped ``state_dict()`` snapshot resumes to the exact end state
-  of the unbroken run.
+* ``checkpoint`` — splitting a run at its midpoint through a
+  ``state_dict()`` snapshot resumes to the exact end state of the
+  unbroken run, whether the snapshot went through JSON or through the
+  checkpoint codec's bytes.
 * ``warm-parity`` — ``warm_run`` is exactly a ``warm_step`` loop (no
   hidden batching effects in functional warming).
 * ``relabel`` — shifting every address by a multiple of the fold-granule
@@ -39,6 +40,7 @@ from typing import Callable, Sequence
 from repro.core.config import ZEC12_CONFIG_2, PredictorConfig
 from repro.engine.params import DEFAULT_TIMING, TimingParams
 from repro.predictors.registry import create_predictor
+from repro.sampling.checkpoint import decode_state, encode_state
 from repro.trace.record import TraceRecord
 
 #: Relabel shift used by the battery — 64 granules, comfortably past every
@@ -86,7 +88,13 @@ def check_checkpoint(
     name: str, trace: Sequence[TraceRecord],
     config: PredictorConfig, timing: TimingParams,
 ) -> list[str]:
-    """Split-at-midpoint resume through JSON must be bit-identical."""
+    """Split-at-midpoint resume must be bit-identical, both ways it is stored.
+
+    The snapshot is restored once after a JSON round trip and once after
+    the checkpoint codec's bytes
+    (:func:`~repro.sampling.checkpoint.encode_state`), which write long
+    integer lists as raw sections.
+    """
     records = list(trace)
     half = len(records) // 2
     full = create_predictor(name, config=config, timing=timing)
@@ -98,20 +106,26 @@ def check_checkpoint(
     # The JSON round trip is part of the contract: a snapshot that only
     # works in-process (live object references, non-serializable keys)
     # cannot back the checkpoint store.
-    snapshot = json.loads(json.dumps(head.state_dict()))
-    tail = create_predictor(name, config=config, timing=timing)
-    tail.load_state_dict(snapshot)
-    for record in records[half:]:
-        tail.step(record)
-    tail.finish()
-
+    state = head.state_dict()
+    snapshots = {
+        "JSON": json.loads(json.dumps(state)),
+        "checkpoint codec": decode_state(encode_state(state)),
+    }
     problems = []
-    if tail.state_dict() != full.state_dict():
-        problems.append(
-            "resumed run ended in different model state than unbroken run")
-    if tail.counters.state_dict() != full.counters.state_dict():
-        problems.append(
-            "resumed run ended with different counters than unbroken run")
+    for route, snapshot in snapshots.items():
+        tail = create_predictor(name, config=config, timing=timing)
+        tail.load_state_dict(snapshot)
+        for record in records[half:]:
+            tail.step(record)
+        tail.finish()
+        if tail.state_dict() != full.state_dict():
+            problems.append(
+                f"run resumed through {route} ended in different model "
+                f"state than unbroken run")
+        if tail.counters.state_dict() != full.counters.state_dict():
+            problems.append(
+                f"run resumed through {route} ended with different counters "
+                f"than unbroken run")
     return problems
 
 
@@ -185,7 +199,8 @@ def conformance_problems(
     """Run the full battery for one registry entry; return all problems.
 
     Every problem line is prefixed with its check name, so a gate failure
-    reads ``checkpoint: resumed run ended in different model state ...``.
+    reads ``checkpoint: run resumed through JSON ended in different model
+    state ...``.
     """
     records = conformance_trace() if trace is None else list(trace)
     problems: list[str] = []

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
 
+from repro.atomic import publish
 from repro.telemetry.events import validate_event
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
@@ -106,10 +107,9 @@ class WorkerSession:
             self._stream = None
         if self.registry.names():
             target = self.relay.metrics_path(self.worker, self.slice_index)
-            scratch = target.with_suffix(f".tmp{os.getpid()}")
-            scratch.write_text(
-                json.dumps(self.registry.snapshot()) + "\n")
-            os.replace(scratch, target)
+            with publish(target) as scratch:
+                scratch.write_text(
+                    json.dumps(self.registry.snapshot()) + "\n")
 
     def __enter__(self) -> "WorkerSession":
         return self
@@ -174,9 +174,8 @@ class TelemetryRelay:
         payload = {"relay_schema": RELAY_SCHEMA, "run": self.run_id,
                    "expected": sorted(shards)}
         target = self.directory / "manifest.json"
-        scratch = target.with_suffix(f".tmp{os.getpid()}")
-        scratch.write_text(json.dumps(payload, indent=1) + "\n")
-        os.replace(scratch, target)
+        with publish(target) as scratch:
+            scratch.write_text(json.dumps(payload, indent=1) + "\n")
         return target
 
 

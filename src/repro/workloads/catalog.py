@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.atomic import publish
 from repro.trace.reader import TraceFormatError, load_trace, open_trace
 from repro.trace.record import TraceRecord
 from repro.trace.stats import TraceStats, collect_stats
@@ -157,10 +158,8 @@ def _write_cache(cache_file: Path, records: list[TraceRecord]) -> None:
     half-written trace (the format's record count is patched into the
     header after the body).
     """
-    cache_file.parent.mkdir(parents=True, exist_ok=True)
-    scratch = cache_file.with_suffix(f".tmp{os.getpid()}")
-    save_trace(scratch, records)
-    os.replace(scratch, cache_file)
+    with publish(cache_file) as scratch:
+        save_trace(scratch, records)
 
 
 def scaled_functions(functions: int, scale: float) -> int:

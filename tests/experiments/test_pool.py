@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
-from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2
+from repro.core.config import ZEC12_CONFIG_1, ZEC12_CONFIG_2, ZEC12_CONFIG_3
 from repro.experiments.common import (
     RunResult,
     load_cached_run,
@@ -191,6 +192,43 @@ class TestConcurrentWriters:
         payload = json.loads(entries[0].read_text())  # valid, not torn
         assert payload["workload"] == SPEC.name
         assert not list((tmp_path / "shared").glob("*.tmp*"))
+
+
+class TestThreadWriters:
+    def test_threads_generating_one_trace_all_publish_it(
+            self, tmp_path, monkeypatch):
+        """``run_many`` on the thread backend over a cold trace cache.
+
+        The three runs share one trace, so each worker thread generates it
+        and publishes the cache file.  A barrier holds every writer between
+        its write and its rename, so all three scratch files exist at once:
+        with a scratch name shared by the process's threads, the first
+        rename moves the others' file and their renames fail with
+        ``FileNotFoundError``.
+        """
+        traces = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(traces))
+        all_written = threading.Barrier(3, timeout=60)
+        real_replace = os.replace
+
+        def replace_after_all_wrote(source, target):
+            if str(target).endswith(".ztrc"):
+                all_written.wait()
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_after_all_wrote)
+        configs = (ZEC12_CONFIG_1, ZEC12_CONFIG_2, ZEC12_CONFIG_3)
+        results = run_many([RunSpec(SPEC, config, scale=0.02)
+                            for config in configs],
+                           jobs=3, backend="thread")
+        assert [result.config for result in results] == [
+            config.name for config in configs]
+        published = [path.name for path in traces.iterdir()]
+        assert len(published) == 1 and published[0].endswith(".ztrc")
+        # The published file is a whole trace: a fresh run streams it.
+        monkeypatch.setattr(os, "replace", real_replace)
+        monkeypatch.setenv("REPRO_RESULTS_CACHE", "off")
+        assert run_workload(SPEC, ZEC12_CONFIG_2, scale=0.02) == results[1]
 
 
 class TestParallelMap:

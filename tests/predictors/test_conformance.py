@@ -14,15 +14,18 @@ import pytest
 
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.params import DEFAULT_TIMING
-from repro.predictors import registry
+from repro.predictors import conformance, registry
 from repro.predictors.conformance import (
     CONFORMANCE_CHECKS,
+    check_checkpoint,
     check_determinism,
     conformance_problems,
     conformance_trace,
 )
 from repro.predictors.registry import PredictorInfo, predictor_names
 from repro.predictors.tage import TagePredictor
+from repro.sampling.checkpoint import decode_state, encode_state
+from repro.workloads.catalog import workload_by_name
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +98,40 @@ class TestBatteryTeethRegistered:
         trace = conformance_trace(seed=5, length=60)
         assert check_determinism(
             "tage", trace, ZEC12_CONFIG_2, DEFAULT_TIMING) == []
+
+
+@pytest.fixture(scope="module")
+def commercial_slice():
+    """3,000 TPF records: 82 distinct branches by the midpoint, enough for
+    every predictor's state to hold an int list of section length (the
+    battery trace reaches only 18 there)."""
+    return workload_by_name("TPF").generate(0.02)[:3000]
+
+
+class TestCheckpointCodecLeg:
+    @pytest.mark.parametrize("name", predictor_names())
+    def test_the_leg_resumes_from_raw_sections(self, name,
+                                               commercial_slice):
+        records = list(commercial_slice)
+        head = registry.create_predictor(name, config=ZEC12_CONFIG_2)
+        for record in records[:len(records) // 2]:
+            head.step(record)
+        assert b"\n" in encode_state(head.state_dict())
+        assert check_checkpoint(name, records, ZEC12_CONFIG_2,
+                                DEFAULT_TIMING) == []
+
+    def test_a_codec_that_loses_a_value_fails_the_leg(self, monkeypatch,
+                                                      trace):
+        def lossy(payload):
+            state = decode_state(payload)
+            state["counters"]["branches"] -= 1
+            return state
+
+        monkeypatch.setattr(conformance, "decode_state", lossy)
+        problems = check_checkpoint("paper", list(trace), ZEC12_CONFIG_2,
+                                    DEFAULT_TIMING)
+        assert problems == [
+            "run resumed through checkpoint codec ended in different model "
+            "state than unbroken run",
+            "run resumed through checkpoint codec ended with different "
+            "counters than unbroken run"]

@@ -1,12 +1,22 @@
-"""Checkpoint serialization: round trips, byte stability, tolerant loads."""
+"""Checkpoint serialization: round trips, byte stability, tolerant loads,
+the sectioned payload codec and atomic publication."""
 
 import copy
+import gzip
+import json
+import os
+import struct
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.btb.entry import KINDS
 from repro.core.config import ZEC12_CONFIG_2
 from repro.engine.simulator import Simulator
-from repro.sampling import CheckpointStore, load_state, save_state
+from repro.sampling import CheckpointStore, checkpoint, load_state, save_state
+from repro.sampling.checkpoint import SECTION_KEY, decode_state, encode_state
 from repro.workloads.catalog import workload_by_name
 
 
@@ -36,13 +46,40 @@ V1_ENTRY_KEYS = ("address", "target", "kind", "counter", "use_pht",
                  "use_ctb", "ctb_confidence", "bimodal_misses",
                  "target_misses")
 
+#: Where the PHT, CTB and surprise BHT keep their v3 columns (``key``),
+#: and the value columns that v2 wrote after the index in each row.
+V2_TABLE_COLUMNS = {("hierarchy", "pht"): ("table", ("tag", "counter")),
+                    ("hierarchy", "ctb"): ("table", ("tag", "target")),
+                    ("hierarchy", "surprise_bht"): ("bits", ("bit",))}
+
+
+def _btb_tables(state):
+    return (state["hierarchy"]["btb1"], state["hierarchy"]["btbp"],
+            state["btb2"])
+
+
+def _as_v2(state):
+    """``state`` laid out as schema v2 wrote it: positional entry rows."""
+    old = copy.deepcopy(state)
+    old["version"] = 2
+    for table in _btb_tables(old):
+        rows = iter(zip(*table.pop("entries").values()))
+        table["rows"] = [
+            [index, [list(next(rows)) for _ in range(count)]]
+            for index, count in zip(table["rows"], table.pop("ways"))]
+    for (parent, name), (key, values) in V2_TABLE_COLUMNS.items():
+        columns = old[parent][name][key]
+        old[parent][name][key] = [
+            list(row) for row in zip(columns["index"],
+                                     *(columns[value] for value in values))]
+    return old
+
 
 def _as_v1(state):
     """``state`` laid out as schema v1 wrote it: keyed-object entries."""
-    old = copy.deepcopy(state)
+    old = _as_v2(state)
     old["version"] = 1
-    for table in (old["hierarchy"]["btb1"], old["hierarchy"]["btbp"],
-                  old["btb2"]):
+    for table in _btb_tables(old):
         table["rows"] = [
             [index, [dict(zip(V1_ENTRY_KEYS, row)) for row in ways]]
             for index, ways in table["rows"]
@@ -54,8 +91,40 @@ def test_schema_v1_state_is_refused_with_the_version_message():
     v1 = _as_v1(_warmed_state())
     assert v1["hierarchy"]["btb1"]["rows"] and v1["btb2"]["rows"]
     with pytest.raises(ValueError,
-                       match=r"schema version 1 != supported 2"):
+                       match=r"schema version 1 != supported 3"):
         Simulator(config=ZEC12_CONFIG_2).load_state_dict(v1)
+
+
+def test_a_v2_store_decodes_and_is_refused_then_recomputed(tmp_path):
+    """A schema v2 file (plain gzip JSON) is ``refused``, never ``skipped``.
+
+    v2 wrote compact JSON with no section marker, so its payload decodes
+    as a header without sections; the model then refuses it by its
+    version, and the caller recomputes the state.
+    """
+    from repro.telemetry.metrics import REGISTRY
+
+    store = CheckpointStore(tmp_path)
+    sim = Simulator(config=ZEC12_CONFIG_2)
+    identity = ("trace", ("plan",), 0)
+    state = _warmed_state()
+    v2 = _as_v2(state)
+    assert v2["hierarchy"]["btb1"]["rows"][0][1][0][2] in KINDS
+    path = store.path_for(sim.model_fingerprint(), *identity)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(gzip.compress(
+        json.dumps(v2, separators=(",", ":")).encode(), mtime=0))
+    assert load_state(path) == v2
+    refused = REGISTRY.counter("repro_checkpoint_store_total", "",
+                               ("result",))
+    before = refused.value(result="refused")
+    assert store.restore(sim, *identity) is None
+    assert refused.value(result="refused") == before + 1
+    assert store.skipped == [
+        (path, "ValueError: checkpoint schema version 2 != supported 3")]
+    # Recomputed: the fresh state saves over the stale file and restores.
+    store.save(sim.model_fingerprint(), *identity, state)
+    assert store.restore(sim, *identity) == state
 
 
 def test_store_keys_on_full_provenance(tmp_path):
@@ -108,7 +177,39 @@ def test_restore_counts_a_hit_only_once_the_model_accepts(tmp_path):
     assert fresh.state_dict() == Simulator(config=ZEC12_CONFIG_2).state_dict()
     assert [now - then for now, then in zip(counts(), before)] == [1, 1, 1]
     assert store.skipped == [
-        (path, "ValueError: checkpoint schema version 99 != supported 2")]
+        (path, "ValueError: checkpoint schema version 99 != supported 3")]
+
+
+@pytest.mark.parametrize("table, column, value", [
+    (("hierarchy", "btb1", "entries"), "target", 0),
+    (("hierarchy", "btbp", "entries"), "address", 0),
+    (("hierarchy", "pht", "table"), "tag", 0),
+    (("hierarchy", "ctb", "table"), "target", 0),
+    (("hierarchy", "surprise_bht", "bits"), "bit", True),
+    (("btb2", "entries"), "kind", "COND"),
+], ids=["btb1", "btbp", "pht", "ctb", "surprise-bht", "btb2"])
+def test_a_state_whose_columns_disagree_is_refused_untouched(
+        tmp_path, table, column, value):
+    """A column one value too long is refused before anything is loaded.
+
+    The checks run before the first assignment, so the refused restore
+    leaves the simulator exactly as it was, and the caller recomputes from
+    there.
+    """
+    store = CheckpointStore(tmp_path)
+    sim = Simulator(config=ZEC12_CONFIG_2)
+    sim.warm_run(iter(workload_by_name("TPF").trace(scale=0.02)))
+    before = sim.state_dict()
+    damaged = _warmed_state()
+    columns = damaged
+    for key in table:
+        columns = columns[key]
+    columns[column].append(value)
+    identity = ("trace", ("plan",), 0)
+    path = store.save(sim.model_fingerprint(), *identity, damaged)
+    assert store.restore(sim, *identity) is None
+    assert [skipped for skipped, _ in store.skipped] == [path]
+    assert sim.state_dict() == before
 
 
 def test_store_save_load_entries_clear(tmp_path):
@@ -285,3 +386,200 @@ def test_concurrent_writers_racing_one_key(tmp_path):
         assert observed["payload"] == list(range(200))
     assert store.skipped == []
     assert len(store.entries()) == 1
+
+
+# -- the payload codec --------------------------------------------------------
+
+#: JSON scalars, with ints on both sides of every section bound.
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=6)
+                | st.floats(allow_nan=False)
+                | st.integers(-2**64, 2**65)
+                | st.sampled_from((-2**63, 2**63 - 1, 2**63, 2**64 - 1,
+                                   2**64)))
+
+#: Int lists around :data:`SECTION_MIN`, some that fit a section and some
+#: that do not (a bool, a value past 64 bits, signs and widths mixed).
+INT_LISTS = st.one_of(
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=60, max_size=70),
+    st.lists(st.integers(0, 2**64 - 1), min_size=60, max_size=70),
+    st.lists(st.integers(-2**64, 2**65) | st.booleans(), min_size=60,
+             max_size=70),
+)
+
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(("#section", "items"))
+
+
+def json_containers(children):
+    """Lists and objects of ``children``."""
+    return (st.lists(children, max_size=4)
+            | st.dictionaries(JSON_KEYS, children, max_size=4))
+
+
+JSON_TREES = st.recursive(JSON_SCALARS | INT_LISTS, json_containers,
+                          max_leaves=12)
+
+
+def typed(tree):
+    """``tree`` with every scalar tagged by its type, dicts in key order."""
+    if isinstance(tree, dict):
+        return ["dict", [(key, typed(value)) for key, value in tree.items()]]
+    if isinstance(tree, list):
+        return ["list", [typed(value) for value in tree]]
+    return [type(tree).__name__, repr(tree)]
+
+
+class TestCodec:
+    @given(st.dictionaries(JSON_KEYS, JSON_TREES, max_size=5))
+    def test_json_trees_come_back_exactly(self, state):
+        assert typed(decode_state(encode_state(state))) == typed(state)
+
+    @pytest.mark.parametrize("values, typecode", [
+        (list(range(63)), None),
+        (list(range(64)), "q"),
+        ([True, False] * 32, None),
+        (list(range(63)) + [True], None),
+        (list(range(-64, 0)), "q"),
+        ([2**63 + n for n in range(64)], "Q"),
+        ([2**64 - 1] * 64, "Q"),
+        (list(range(63)) + [2**64], None),
+        ([-1] * 32 + [2**63] * 32, None),
+    ], ids=["63-ints", "64-ints", "bools", "one-bool", "negative",
+            "past-2^63", "2^64-1", "past-2^64", "both-signs-wide"])
+    def test_which_int_lists_become_sections(self, values, typecode):
+        state = {"values": values, "tail": "x"}
+        payload = encode_state(state)
+        header, newline, body = payload.partition(b"\n")
+        if typecode is None:
+            assert not newline
+            assert payload == json.dumps(state, separators=(",", ":")).encode()
+        else:
+            marker = {SECTION_KEY: [typecode, len(values)]}
+            assert json.loads(header) == {"values": marker, "tail": "x"}
+            assert body == struct.pack(f"<{len(values)}{typecode}", *values)
+        assert typed(decode_state(payload)) == typed(state)
+
+    def test_objects_with_the_marker_key_are_escaped(self):
+        state = {"real": {SECTION_KEY: ["q", 64]}, "long": list(range(64)),
+                 "escape": {SECTION_KEY: None, "items": [["a", 1]]}}
+        payload = encode_state(state)
+        assert b"\n" in payload
+        assert decode_state(payload) == state
+
+    def test_the_state_is_not_mutated(self):
+        state = {"a": [list(range(70))], "b": {"c": list(range(80))}}
+        before = copy.deepcopy(state)
+        encode_state(state)
+        assert state == before
+
+    def test_a_warmed_state_is_mostly_sections(self):
+        payload = encode_state(_warmed_state())
+        header, newline, body = payload.partition(b"\n")
+        assert newline and len(body) > len(header)
+
+    def test_the_byte_swap_path_is_what_a_big_endian_host_runs(
+            self, monkeypatch):
+        """Sections are little-endian on any host.
+
+        Forcing the swap on this host reverses every word the host would
+        write natively, and the reader reverses it back: on a big-endian
+        host that same path turns native words into little-endian ones.
+        """
+        values = [-2**63, -1, 0, 1, 2**62 + 3] + list(range(59))
+        state = {"values": values, "wide": [2**64 - 1] * 64}
+        native = encode_state(state).partition(b"\n")[2]
+        assert native == (struct.pack(f"<{len(values)}q", *values)
+                          + struct.pack("<64Q", *[2**64 - 1] * 64))
+        monkeypatch.setattr(checkpoint, "_SWAP", not checkpoint._SWAP)
+        swapped = encode_state(state).partition(b"\n")[2]
+        words = [native[at:at + 8] for at in range(0, len(native), 8)]
+        assert swapped == b"".join(word[::-1] for word in words)
+        assert decode_state(encode_state(state)) == state
+
+
+#: A valid header with one 64-value section, and its section.
+GOOD_HEADER = b'{"a":{"#section":["q",64]}}'
+GOOD_SECTION = struct.pack("<64q", *range(64))
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("payload", [
+        b'{"a":{"#section":["d",64]}}\n' + GOOD_SECTION,
+        GOOD_HEADER + b"\n" + GOOD_SECTION[:-8],
+        GOOD_HEADER + b"\n" + GOOD_SECTION + struct.pack("<q", 64),
+        GOOD_HEADER + b"\n",
+        GOOD_HEADER + b"\n" + GOOD_SECTION + b"\0",
+        b'{"a":{"#section":["q",64.0]}}\n' + GOOD_SECTION,
+        b'{"a":{"#section":["q","64"]}}\n' + GOOD_SECTION,
+        b'{"a":{"#section":["q",true]}}\n' + GOOD_SECTION,
+        b'{"a":{"#section":["q",-1]}}\n' + GOOD_SECTION,
+        b'{"a":{"#section":["q"]}}\n' + GOOD_SECTION,
+        b'{"a":{"#section":["q",64],"b":1}}\n' + GOOD_SECTION,
+        b'{"a":{"#section":null,"items":[[1,2]]}}\n',
+        b'{"a":{"#section":null,"items":5}}\n',
+        b'[{"#section":["q",64]}]\n' + GOOD_SECTION,
+        b"[1,2,3]",
+        b'{"a":1}\n' + GOOD_SECTION,
+        b'{"a":\xff}\n' + GOOD_SECTION,
+    ], ids=["unknown-typecode", "short-section", "long-section",
+            "missing-section", "trailing-bytes", "float-count",
+            "string-count", "bool-count", "negative-count", "no-count",
+            "extra-marker-key", "escaped-int-key", "escaped-non-list",
+            "list-header", "plain-list", "sections-without-markers",
+            "bad-utf8"])
+    def test_is_a_value_error_and_a_skipped_store_entry(self, payload,
+                                                        tmp_path):
+        with pytest.raises(ValueError):
+            decode_state(payload)
+        store = CheckpointStore(tmp_path)
+        identity = ("m", "t", ("p",), 0)
+        path = store.path_for(*identity)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(gzip.compress(payload))
+        assert store.load(*identity) is None
+        assert [skipped for skipped, _ in store.skipped] == [path]
+
+    def test_the_good_payload_decodes(self):
+        assert decode_state(GOOD_HEADER + b"\n" + GOOD_SECTION) == {
+            "a": list(range(64))}
+
+
+# -- atomic publication -------------------------------------------------------
+
+
+def test_two_threads_saving_one_path_both_publish(tmp_path, monkeypatch):
+    """Two threads that write and then rename one checkpoint both succeed.
+
+    A barrier holds each writer between its write and its rename, so both
+    scratch files exist at once: a scratch name shared by the two threads
+    (one per process) would let the first rename move the second writer's
+    file and the second rename fail with ``FileNotFoundError``.
+    """
+    path = tmp_path / "ckpt-race.json.gz"
+    both_written = threading.Barrier(2, timeout=30)
+    real_replace = os.replace
+
+    def replace_after_both_wrote(source, target):
+        both_written.wait()
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace_after_both_wrote)
+    states = [{"writer": writer, "payload": list(range(200))}
+              for writer in ("a", "b")]
+    errors = []
+
+    def save(state):
+        try:
+            save_state(path, state)
+        except Exception as problem:  # reported below, not lost in a thread
+            errors.append(problem)
+
+    threads = [threading.Thread(target=save, args=(state,))
+               for state in states]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert load_state(path) in states
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
