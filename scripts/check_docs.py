@@ -51,7 +51,6 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
         "## Observability",
         "## Auditing & invariants",
         "## Sampling & checkpoints",
-        "## Batched engine core",
         "## Checkpoint-parallel simulation",
         "## Distributed observability",
         "## Simulation service",
@@ -67,8 +66,6 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
     ),
     "docs/PERFORMANCE.md": (
         "## Engine modes",
-        "## The batched core: layout and prescan",
-        "## The fast/slow path contract",
         "## Benchmark methodology",
         "## Measured throughput",
         "## Interval scaling: the checkpoint-parallel fan-out",

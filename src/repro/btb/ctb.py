@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.btb.entry import check_slot_columns
 from repro.btb.history import PathHistory
 
 CTB_ENTRIES = 2048
@@ -84,9 +85,9 @@ class CTB:
         }
 
     def check_state(self, state: dict) -> None:
-        """Raise ``ValueError`` unless the snapshot's columns agree in length."""
-        if len(set(map(len, state["table"].values()))) > 1:
-            raise ValueError("CTB snapshot: its columns differ in length")
+        """Raise ``ValueError`` unless the snapshot's columns agree in length
+        and every slot index lies in the table."""
+        check_slot_columns("CTB", state["table"], self.entries)
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.

@@ -130,3 +130,27 @@ STATE_FIELDS = tuple(entry_field.name for entry_field in fields(BTBEntry))
 #: Branch kinds by name.  Snapshots store a kind's name, so restoring one
 #: never depends on the member order of :class:`BranchKind`.
 KINDS = {kind.name: kind for kind in BranchKind}
+
+
+def check_indices(name: str, indices: list, size: int) -> None:
+    """Raise ``ValueError`` unless every snapshot index lies in ``[0, size)``.
+
+    A table restore writes each row or slot through its index: a negative
+    one would land in another slot and one past the table would raise
+    ``IndexError`` halfway through the restore.
+    """
+    if indices and (min(indices) < 0 or max(indices) >= size):
+        raise ValueError(
+            f"{name} snapshot: an index lies outside [0, {size})")
+
+
+def check_slot_columns(name: str, columns: dict, size: int) -> None:
+    """Raise ``ValueError`` unless a sparse table snapshot restores as stored.
+
+    ``columns`` holds an ``index`` list and one list per slot field (the
+    PHT, CTB and surprise BHT layout): they must agree in length, and
+    every index must lie in ``[0, size)``.
+    """
+    if len(set(map(len, columns.values()))) > 1:
+        raise ValueError(f"{name} snapshot: its columns differ in length")
+    check_indices(name, columns["index"], size)

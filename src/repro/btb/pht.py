@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btb.entry import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
+from repro.btb.entry import (
+    STRONG_NOT_TAKEN,
+    STRONG_TAKEN,
+    WEAK_TAKEN,
+    check_slot_columns,
+)
 from repro.btb.history import PathHistory
 
 PHT_ENTRIES = 4096
@@ -92,9 +97,9 @@ class PHT:
         }
 
     def check_state(self, state: dict) -> None:
-        """Raise ``ValueError`` unless the snapshot's columns agree in length."""
-        if len(set(map(len, state["table"].values()))) > 1:
-            raise ValueError("PHT snapshot: its columns differ in length")
+        """Raise ``ValueError`` unless the snapshot's columns agree in length
+        and every slot index lies in the table."""
+        check_slot_columns("PHT", state["table"], self.entries)
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.

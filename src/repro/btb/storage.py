@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator
 
-from repro.btb.entry import KINDS, STATE_FIELDS, BTBEntry
+from repro.btb.entry import KINDS, STATE_FIELDS, BTBEntry, check_indices
 from repro.isa.address import ROW_BYTES, row_address
 
 
@@ -216,8 +216,10 @@ class BranchTargetBuffer:
         }
 
     def check_state(self, state: dict) -> None:
-        """Raise ``ValueError`` unless the snapshot's columns and rows agree.
+        """Raise ``ValueError`` unless the snapshot would restore as stored.
 
+        Its columns must agree with the entries its rows hold, every row
+        index must lie in the table and every kind name must be known.
         :meth:`load_state_dict` runs this first; a caller that restores
         several tables runs it for each before loading any
         (:meth:`repro.engine.simulator.Simulator.load_state_dict`).
@@ -229,6 +231,12 @@ class BranchTargetBuffer:
             raise ValueError(
                 f"{self.name} snapshot: entry columns disagree with the "
                 f"{total} entries its rows hold")
+        check_indices(self.name, state["rows"], self.rows)
+        unknown = set(columns["kind"]).difference(KINDS)
+        if unknown:
+            raise ValueError(
+                f"{self.name} snapshot: unknown branch kind(s) "
+                f"{sorted(map(repr, unknown))}")
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.

@@ -15,6 +15,7 @@ tests probe.
 
 from __future__ import annotations
 
+from repro.btb.entry import check_slot_columns
 from repro.isa.opcodes import BranchKind, static_guess
 
 SURPRISE_BHT_ENTRIES = 32 * 1024
@@ -27,8 +28,8 @@ class SurpriseBHT:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
         self.entries = entries
-        # One bit per entry; None means never written (fall back to static).
-        self._bits: list[bool | None] = [None] * entries
+        # One bit per written entry; an absent slot falls back to static.
+        self._bits: dict[int, bool] = {}
         self.guesses = 0
         self.correct_guesses = 0
 
@@ -42,7 +43,7 @@ class SurpriseBHT:
         self.guesses += 1
         if kind.always_taken:
             return True
-        bit = self._bits[self._index(address)]
+        bit = self._bits.get(self._index(address))
         if bit is None:
             return static_guess(kind, backward)
         return bit
@@ -66,7 +67,7 @@ class SurpriseBHT:
         slot's ``bit`` in the same order.
         """
         bits = self._bits
-        written = [index for index, bit in enumerate(bits) if bit is not None]
+        written = sorted(bits)
         return {
             "bits": {
                 "index": written,
@@ -77,10 +78,9 @@ class SurpriseBHT:
         }
 
     def check_state(self, state: dict) -> None:
-        """Raise ``ValueError`` unless the snapshot's columns agree in length."""
-        if len(set(map(len, state["bits"].values()))) > 1:
-            raise ValueError(
-                "surprise BHT snapshot: its columns differ in length")
+        """Raise ``ValueError`` unless the snapshot's columns agree in length
+        and every slot index lies in the table."""
+        check_slot_columns("surprise BHT", state["bits"], self.entries)
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.
@@ -90,10 +90,7 @@ class SurpriseBHT:
         """
         self.check_state(state)
         columns = state["bits"]
-        bits = [None] * self.entries
-        for index, bit in zip(columns["index"], columns["bit"]):
-            bits[index] = bit
-        self._bits = bits
+        self._bits = dict(zip(columns["index"], columns["bit"]))
         self.guesses = state["guesses"]
         self.correct_guesses = state["correct_guesses"]
 

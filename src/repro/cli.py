@@ -73,7 +73,6 @@ from repro.core.config import (
     ZEC12_CONFIG_2,
     ZEC12_CONFIG_3,
 )
-from repro.engine.batched import ENGINE_MODES
 from repro.metrics.counters import cpi_improvement
 from repro.metrics.report import format_result
 from repro.sampling import (
@@ -231,7 +230,7 @@ def _cmd_simulate(args) -> int:
         RunSpec(
             spec, CONFIGS[key], scale=args.scale, audit=args.audit,
             sampling=_sampling_plan(args) if args.sampled else None,
-            checkpoint_dir=args.checkpoint_dir, engine_mode=args.engine,
+            checkpoint_dir=args.checkpoint_dir,
             parallel=(ParallelPlan(intervals=args.parallel_intervals)
                       if args.parallel_intervals is not None else None),
             backend=args.backend, predictor=info.name,
@@ -490,7 +489,7 @@ def _cmd_session(args) -> int:
     try:
         if args.action == "create":
             payload = client.create_session(
-                config=args.config, engine=args.engine, label=args.label)
+                config=args.config, label=args.label)
         elif args.action == "list":
             payload = client.list_sessions()
         elif args.action == "status":
@@ -609,17 +608,15 @@ def _cmd_verify(args) -> int:
 
     if not args.skip_golden:
         baseline = load_baseline(golden_path)
-        engines = ENGINE_MODES if args.engine == "both" else (args.engine,)
         for name in predictors:
             cells = [workload
                      for workload in baseline["predictors"].get(name, ())
                      if workloads is None or workload in workloads]
-            for engine in engines:
-                gate("golden", name,
-                     compare(baseline, jobs=args.jobs, predictors=(name,),
-                             workloads=workloads, engine_mode=engine),
-                     f"{len(cells)} cell(s) within tolerance, {engine} "
-                     f"engine (scale {baseline['scale']}, {golden_path})")
+            gate("golden", name,
+                 compare(baseline, jobs=args.jobs, predictors=(name,),
+                         workloads=workloads),
+                 f"{len(cells)} cell(s) within tolerance "
+                 f"(scale {baseline['scale']}, {golden_path})")
 
     if not args.skip_parallel:
         checked = len(golden_specs(workloads))
@@ -735,13 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Table 3 configurations to run (default: 1 2)",
     )
     simulate.add_argument("--scale", type=float, default=0.35)
-    simulate.add_argument(
-        "--engine", choices=ENGINE_MODES, default="auto",
-        help="simulation engine: 'object' is the per-record reference; "
-             "'auto' runs detailed records through the bit-identical "
-             "batched core unless an observer flag needs per-record hooks "
-             "(default: auto)",
-    )
     _add_audit_argument(simulate)
     simulate.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -809,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictor", metavar="NAME", default="paper",
         help="predictor registry entry to simulate (default: paper — the "
              "two-level bulk-preload stack; zoo entries run full detail "
-             "only: no --sampled/--parallel-intervals/--engine fast path)",
+             "only: no --sampled/--parallel-intervals)",
     )
 
     checkpoint = sub.add_parser(
@@ -910,8 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument("--config", choices=sorted(CONFIGS), default="2",
                          help="Table 3 configuration for create "
                               "(default: 2)")
-    session.add_argument("--engine", choices=ENGINE_MODES, default="auto",
-                         help="engine mode for create (default: auto)")
     session.add_argument("--label", default="",
                          help="free-form session label for create")
     session.add_argument("--workload", default=None,
@@ -1023,13 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict every selected predictor's golden cells and the "
              "parallel gate to these workloads "
              "(substring match; default: all recorded)",
-    )
-    verify.add_argument(
-        "--engine", choices=(*ENGINE_MODES, "both"), default="both",
-        help="engine(s) the golden gate re-measures with; 'both' doubles "
-             "as the engine bit-identity check (default: both; the "
-             "lockstep slate always uses the object engine — the "
-             "lockstep probe needs per-record hooks)",
     )
     verify.add_argument(
         "--skip-differential", action="store_true",

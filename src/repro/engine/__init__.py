@@ -1,10 +1,5 @@
 """Timing engine: penalty-model core simulator and multi-core proxy."""
 
-from repro.engine.batched import (
-    ENGINE_MODES,
-    BatchedSimulator,
-    validate_engine_mode,
-)
 from repro.engine.multicore import (
     MulticoreResult,
     hardware_timing,
@@ -16,8 +11,6 @@ from repro.engine.simulator import SimulationResult, Simulator, simulate
 
 __all__ = [
     "DEFAULT_TIMING",
-    "ENGINE_MODES",
-    "BatchedSimulator",
     "MulticoreResult",
     "SimulationResult",
     "Simulator",
@@ -27,5 +20,4 @@ __all__ = [
     "run_multicore",
     "simulate",
     "system_performance_gain",
-    "validate_engine_mode",
 ]

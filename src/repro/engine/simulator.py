@@ -26,7 +26,6 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (audit -> engine)
@@ -39,11 +38,6 @@ from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.core.events import MissReport, OutcomeKind, Prediction, PredictionLevel
 from repro.core.hierarchy import FirstLevelPredictor, RowHit
 from repro.core.search import LookaheadSearch
-from repro.engine.batched import (
-    CHUNK_RECORDS,
-    BatchedSimulator,
-    validate_engine_mode,
-)
 from repro.engine.params import DEFAULT_TIMING, TimingParams
 from repro.engine.predictor import Predictor
 from repro.isa.address import block_address, sector_address
@@ -114,7 +108,6 @@ class Simulator(Predictor):
         timing: TimingParams = DEFAULT_TIMING,
         audit: "Auditor | None" = None,
         telemetry: "Telemetry | None" = None,
-        engine_mode: str = "object",
     ) -> None:
         self.config = config
         self.timing = timing
@@ -125,7 +118,6 @@ class Simulator(Predictor):
             timing.taken_branch_decode_cycles - timing.base_decode_cycles
         )
         self._line_mask = ~(timing.icache_line_bytes - 1)
-        self.engine_mode = validate_engine_mode(engine_mode)
         self.btb2 = (
             BTB2(rows=config.btb2_rows, ways=config.btb2_ways)
             if config.btb2_enabled
@@ -193,29 +185,14 @@ class Simulator(Predictor):
     def feed(self, records: Iterable[TraceRecord]) -> None:
         """Consume ``records`` in detailed mode without finishing the run.
 
-        The one place the engine is chosen.  Under ``engine_mode="auto"``
-        with no observer attached (audit, telemetry, differential probe)
-        the records go through the bit-identical batched core of
-        :mod:`repro.engine.batched`, in lists of at most
-        :data:`~repro.engine.batched.CHUNK_RECORDS`; otherwise every
-        record takes :meth:`step`, the path observers hook.  Successive
-        calls continue one run: splitting a trace across feeds (at a
-        measure point, a heartbeat, a service chunk) reaches the same
-        state as one feed over the whole.
+        Every record takes :meth:`step`.  Successive calls continue one
+        run: splitting a trace across feeds (at a measure point, a
+        heartbeat, a service chunk) reaches the same state as one feed
+        over the whole.
         """
-        if (self.engine_mode == "object" or self.audit is not None
-                or self.telemetry is not None or self.probe is not None):
-            step = self.step
-            for record in records:
-                step(record)
-            return
-        batched = BatchedSimulator(self)
-        it = iter(records)
-        while True:
-            chunk = list(islice(it, CHUNK_RECORDS))
-            if not chunk:
-                return
-            batched.feed(chunk)
+        step = self.step
+        for record in records:
+            step(record)
 
     def step(self, record: TraceRecord) -> None:
         """Simulate one trace record.
@@ -380,7 +357,7 @@ class Simulator(Predictor):
         but with the record loop and every hot attribute lookup hoisted into
         one frame.  Warming throughput bounds sampled-simulation speedup
         (the detailed fraction is small), so this path is worth the
-        duplication.  Every engine mode warms through this loop.
+        duplication.
         """
         hierarchy = self.hierarchy
         btb1 = hierarchy.btb1
@@ -548,8 +525,11 @@ class Simulator(Predictor):
         """Restore a snapshot taken by :meth:`state_dict`.
 
         Raises ``ValueError`` on a schema-version or model-fingerprint
-        mismatch, or on a table whose columns disagree, before touching any
-        state, rather than restoring into an incompatible simulator.
+        mismatch, on a table that would not restore as stored (columns
+        that disagree, an index outside the table, an unknown branch
+        kind), or on a malformed field of the simulator's own, before
+        touching any state, rather than restoring into an incompatible
+        simulator.
         """
         if state.get("version") != self.STATE_VERSION:
             raise ValueError(
@@ -565,15 +545,24 @@ class Simulator(Predictor):
         self.hierarchy.check_state(state["hierarchy"])
         if self.btb2 is not None:
             self.btb2.check_state(state["btb2"])
-        self._cycle = state["cycle"]
-        self._started = state["started"]
-        self._expected_address = state["expected_address"]
-        self._seen_branches = set(state["seen_branches"])
-        self._current_line = state["current_line"]
-        self._warm_blocks = OrderedDict(
+        # Every field of the simulator's own is read before the first
+        # assignment, so a malformed one refuses the whole state.
+        cycle = state["cycle"]
+        started = state["started"]
+        expected_address = state["expected_address"]
+        seen_branches = set(state["seen_branches"])
+        current_line = state["current_line"]
+        warm_blocks = OrderedDict(
             (block, stage) for block, stage in state["warm_blocks"]
         )
-        self._line_fills = {line: fill for line, fill in state["line_fills"]}
+        line_fills = {line: fill for line, fill in state["line_fills"]}
+        self._cycle = cycle
+        self._started = started
+        self._expected_address = expected_address
+        self._seen_branches = seen_branches
+        self._current_line = current_line
+        self._warm_blocks = warm_blocks
+        self._line_fills = line_fills
         self.counters.load_state_dict(state["counters"])
         self.hierarchy.load_state_dict(state["hierarchy"])
         if self.btb2 is not None:
@@ -880,10 +869,8 @@ def simulate(
     timing: TimingParams = DEFAULT_TIMING,
     audit: "Auditor | None" = None,
     telemetry: "Telemetry | None" = None,
-    engine_mode: str = "object",
 ) -> SimulationResult:
     """Convenience one-call simulation of ``records`` under ``config``."""
     return Simulator(
         config=config, timing=timing, audit=audit, telemetry=telemetry,
-        engine_mode=engine_mode,
     ).run(records)

@@ -37,6 +37,7 @@ from repro.atomic import publish
 from repro.audit import Auditor, audit_from_env
 from repro.core.config import PredictorConfig
 from repro.core.events import OutcomeKind
+from repro.engine.batched import validate_engine_mode
 from repro.engine.params import DEFAULT_TIMING, TimingParams
 from repro.engine.simulator import SimulationResult
 from repro.experiments.backends import resolve_backend
@@ -168,10 +169,6 @@ class RunSpec:
     #: :class:`repro.sampling.CheckpointStore` directory of sampled and
     #: parallel runs: warmed states are created once and reused.
     checkpoint_dir: str | None = None
-    #: Engine of the detailed records (:data:`repro.engine.ENGINE_MODES`,
-    #: dispatched by :meth:`repro.engine.simulator.Simulator.feed`);
-    #: warming always runs the object engine, and the zoo has one engine.
-    engine_mode: str = "object"
     #: Checkpoint-parallel plan (:func:`repro.sampling.run_parallel`);
     #: ``None`` runs serially.  With ``sampling`` the slices run the
     #: sampling plan's intervals; alone the run is exact.
@@ -223,13 +220,11 @@ class RunSpec:
         """Result-cache key: sha256 of the keyed inputs, 20 hex digits.
 
         Workload, configuration (every knob but ``name``), timing and the
-        resolved scale are always keyed.  ``sampling``, ``engine_mode``,
-        ``parallel`` and ``predictor`` are keyed only when not the default,
-        so adding each of them left every earlier key valid; a sampled
-        estimate, another engine's result, a parallel run or a zoo run
-        never shares a slot with the default run, even where ``repro
-        verify`` proves the results equal.  ``engine_mode`` is keyed for
-        the paper stack only: the zoo has one engine and ignores it.
+        resolved scale are always keyed.  ``sampling``, ``parallel`` and
+        ``predictor`` are keyed only when not the default, so adding each
+        of them left every earlier key valid; a sampled estimate, a
+        parallel run or a zoo run never shares a slot with the default
+        run, even where ``repro verify`` proves the results equal.
         ``backend`` is keyed only with ``parallel`` (by resolved name): a
         serial run never uses it.
         ``audit`` and ``checkpoint_dir`` are never keyed: they change what
@@ -242,8 +237,6 @@ class RunSpec:
                         self.resolved_scale()))
         if self.sampling is not None:
             payload += repr(("sampled", self.sampling.cache_key()))
-        if self.engine_mode != "object" and self.predictor == "paper":
-            payload += repr(("engine", self.engine_mode))
         if self.parallel is not None:
             payload += repr(("parallel", self.parallel.cache_key(),
                              resolve_backend(self.backend).name))
@@ -420,8 +413,7 @@ def _execute(
         stitched = run_parallel(
             source, config=plan.config, timing=plan.timing,
             plan=plan.parallel, sampling=plan.sampling,
-            checkpoint_store=store, trace_key=trace_key,
-            engine_mode=plan.engine_mode, backend=plan.backend,
+            checkpoint_store=store, trace_key=trace_key, backend=plan.backend,
             telemetry=telemetry, relay=relay, status_label=status_label,
         )
         return stitched.result, stitched
@@ -435,12 +427,12 @@ def _execute(
                 trace, config=plan.config, timing=plan.timing,
                 plan=plan.sampling, audit=Auditor() if audit else None,
                 telemetry=telemetry, checkpoint_store=store,
-                trace_key=trace_key, engine_mode=plan.engine_mode,
+                trace_key=trace_key,
             )
             return sampled.result, sampled
         predictor = create_predictor(
             plan.predictor, plan.config, plan.timing, audit=audit,
-            telemetry=telemetry, engine_mode=plan.engine_mode)
+            telemetry=telemetry)
         return predictor.run(trace), None
 
 
@@ -518,12 +510,16 @@ def run_workload(
     """Simulate ``spec`` under ``config``, using the on-disk result cache.
 
     The keyword arguments are the remaining :class:`RunSpec` fields
-    (``audit``, ``sampling``, ``checkpoint_dir``, ``engine_mode``,
-    ``parallel``, ``backend``, ``predictor``); see :func:`run_plan`.
-    This is the serial single-run entry point; batches of runs should go
-    through :func:`repro.experiments.pool.run_many`, which deduplicates,
-    consults the same cache, and can dispatch misses to worker processes.
+    (``audit``, ``sampling``, ``checkpoint_dir``, ``parallel``,
+    ``backend``, ``predictor``); see :func:`run_plan`.  An
+    ``engine_mode`` keyword is still accepted and checked
+    (:mod:`repro.engine.batched`), but it selects nothing: there is one
+    engine.  This is the serial single-run entry point; batches of runs
+    should go through :func:`repro.experiments.pool.run_many`, which
+    deduplicates, consults the same cache, and can dispatch misses to
+    worker processes.
     """
+    validate_engine_mode(plan.pop("engine_mode", "object"))
     return run_plan(RunSpec(spec, config, timing, scale, **plan))
 
 

@@ -541,8 +541,8 @@ def lockstep(
     """Run predictor ``name`` and its reference in lockstep over ``records``.
 
     Stops at the first divergence.  The production model comes from
-    :func:`~repro.predictors.registry.create_predictor` (object engine, no
-    auditor), exactly as every experiment builds it.
+    :func:`~repro.predictors.registry.create_predictor` (no auditor),
+    exactly as every experiment builds it.
     """
     try:
         compare = ORACLES[name]

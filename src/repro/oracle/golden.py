@@ -94,15 +94,12 @@ def measure(
     jobs: int | None = None,
     predictors: Sequence[str] | None = None,
     workloads: Sequence[str] | None = None,
-    engine_mode: str = "object",
 ) -> dict[str, dict[str, dict]]:
     """Measure the (predictor, workload) grid; name -> workload -> metrics.
 
     ``predictors`` defaults to the whole registry and ``workloads`` (exact
     names) to :data:`GOLDEN_WORKLOADS`; a name the catalog does not know is
-    left out of the result.  ``engine_mode`` selects the paper stack's
-    engine: the grid is recorded by the object engine, so a pass under
-    ``auto`` doubles as the engine-equivalence check.
+    left out of the result.
     """
     from repro.experiments.pool import RunSpec, run_many
     from repro.predictors.registry import predictor_names
@@ -110,7 +107,7 @@ def measure(
     selected = golden_specs(workloads)
     specs = [
         RunSpec(workload=workload, config=config, scale=scale,
-                predictor=name, engine_mode=engine_mode)
+                predictor=name)
         for name in (predictor_names() if predictors is None else predictors)
         for workload in selected
     ]
@@ -192,7 +189,6 @@ def compare(
     predictors: Sequence[str] | None = None,
     workloads: Sequence[str] | None = None,
     config: PredictorConfig = ZEC12_CONFIG_2,
-    engine_mode: str = "object",
 ) -> list[str]:
     """Re-measure the selected cells and diff them against ``baseline``.
 
@@ -225,7 +221,7 @@ def compare(
         return problems or ["no cells selected from the golden baseline"]
     measured = measure(
         scale=float(baseline["scale"]), config=config, jobs=jobs,
-        predictors=present, workloads=cells, engine_mode=engine_mode,
+        predictors=present, workloads=cells,
     )
     for name in present:
         for workload in cells:

@@ -70,31 +70,26 @@ def create_predictor(
     *,
     audit: bool = False,
     telemetry: "Telemetry | None" = None,
-    engine_mode: str = "object",
 ) -> Predictor:
     """Instantiate the registered predictor ``name``.
 
-    ``engine_mode`` only influences the paper stack (the zoo has a single
-    engine); ``audit`` enables the runtime auditor on the paper stack and
-    the counter-conservation self-check on the zoo.
+    ``audit`` enables the runtime auditor on the paper stack and the
+    counter-conservation self-check on the zoo.
     """
     return predictor_info(name).factory(
-        config, timing, audit=audit, telemetry=telemetry,
-        engine_mode=engine_mode)
+        config, timing, audit=audit, telemetry=telemetry)
 
 
-def _paper_factory(config, timing, *, audit=False, telemetry=None,
-                   engine_mode="object") -> Simulator:
+def _paper_factory(config, timing, *, audit=False,
+                   telemetry=None) -> Simulator:
     from repro.audit.auditor import Auditor
 
     return Simulator(config, timing, audit=Auditor() if audit else None,
-                     telemetry=telemetry, engine_mode=engine_mode)
+                     telemetry=telemetry)
 
 
 def _zoo_factory(cls: type) -> Callable[..., Predictor]:
-    def factory(config, timing, *, audit=False, telemetry=None,
-                engine_mode="object"):
-        del engine_mode  # the zoo engine has no alternate modes
+    def factory(config, timing, *, audit=False, telemetry=None):
         return cls(config, timing, audit=audit, telemetry=telemetry)
 
     return factory

@@ -209,8 +209,7 @@ class PreloadEngine:
         wait is armed.  Then ``advance(cycle)`` only raises
         ``transfer.clock`` to ``cycle``, so a caller that advances once per
         record (``Simulator.step``) may skip the call and raise the clock
-        itself, and the batched core may run quiet records without
-        per-record advances.  Only this engine's own methods (the reports,
+        itself.  Only this engine's own methods (the reports,
         :meth:`advance`, :meth:`flush`, :meth:`load_state_dict`) change the
         answer.
         """

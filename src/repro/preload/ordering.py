@@ -194,10 +194,9 @@ class OrderingTracker:
         #:
         #: The same-sector rule: :meth:`observe` changes nothing for an
         #: address in this sector (same block, same quartile, its sector
-        #: bit already set).  Callers that complete an instruction per
-        #: record (``Simulator.step``, the batched core) test it
-        #: themselves and skip the call; most completing instructions
-        #: follow one in the same 128 bytes.
+        #: bit already set).  ``Simulator.step``, which completes an
+        #: instruction per record, tests it itself and skips the call;
+        #: most completing instructions follow one in the same 128 bytes.
         self.last_sector: int | None = None
 
     def observe(self, address: int) -> None:

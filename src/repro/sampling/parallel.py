@@ -16,10 +16,10 @@ Two modes:
   result is **bit-identical** to the serial run (the last slice's
   cumulative state *is* the serial end state).  The producer pass is the
   cold-run cost; with a :class:`~repro.sampling.checkpoint.CheckpointStore`
-  attached the boundary states persist, so reruns — different engine,
-  telemetry off, bisection sweeps over anything downstream of the trace —
-  load them in the producer instead of stepping and pay only the fan-out,
-  giving near-linear scaling in K.  The producer is the only reader of
+  attached the boundary states persist, so reruns — telemetry off,
+  bisection sweeps over anything downstream of the trace — load them in
+  the producer instead of stepping and pay only the fan-out, giving
+  near-linear scaling in K.  The producer is the only reader of
   exact boundary states; workers never open the store.
 * **sampled** (with a :class:`~repro.sampling.plan.SamplingPlan`): the
   plan's measured intervals are partitioned into K contiguous chunks and
@@ -165,7 +165,6 @@ class _SliceTask:
     checkpoint_dir: str | None = None
     trace_key: str | None = None
     plan_key: tuple | None = None
-    engine_mode: str = "object"
     is_last: bool = False
     #: Telemetry relay directory this worker streams its shard into
     #: (``None`` = relay off; the zero-cost default).
@@ -290,8 +289,7 @@ def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
     first, last = task.intervals[0], task.intervals[-1]
     span = last.stop - first.warm_start
     with task.source.open() as trace:
-        sim = Simulator(config=task.config, timing=task.timing,
-                        engine_mode=task.engine_mode)
+        sim = Simulator(config=task.config, timing=task.timing)
         cursor = _TraceCursor(trace)
         if task.state is not None:
             sim.load_state_dict(task.state)
@@ -456,7 +454,6 @@ def run_parallel(
     *,
     checkpoint_store: CheckpointStore | None = None,
     trace_key: str | None = None,
-    engine_mode: str = "object",
     backend: "str | None" = None,
     jobs: int | None = None,
     telemetry: "Telemetry | None" = None,
@@ -530,8 +527,7 @@ def run_parallel(
             produce_started = time.perf_counter()
             states, produced, loaded, saved = _produce_checkpoints(
                 trace, slices,
-                Simulator(config=config, timing=timing,
-                          engine_mode=engine_mode),
+                Simulator(config=config, timing=timing),
                 checkpoint_store, trace_key, telemetry,
             )
             produce_seconds = time.perf_counter() - produce_started
@@ -546,7 +542,7 @@ def run_parallel(
             trace_key=trace_key,
             plan_key=(_sampled_key(plan, sampling)
                       if sampling is not None else None),
-            engine_mode=engine_mode, is_last=(i == len(chunks) - 1),
+            is_last=(i == len(chunks) - 1),
             relay_dir=str(relay.directory) if relay is not None else None,
             relay_run=relay.run_id if relay is not None else "run",
             status_label=f"{label}/s{i}" if status_label else "",

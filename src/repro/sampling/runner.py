@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.core.events import OutcomeKind
+from repro.engine.batched import validate_engine_mode
 from repro.engine.params import DEFAULT_TIMING, TimingParams
 from repro.engine.simulator import SimulationResult, Simulator
 from repro.metrics.counters import SimCounters
@@ -378,11 +379,10 @@ def run_sampled(
     fast-forward — on reruns.  Records after the last measured interval are
     never touched: they cannot affect any measurement.
 
-    ``engine_mode`` selects the engine for the detailed warmup and
-    measured windows (:meth:`~repro.engine.simulator.Simulator.feed`);
-    warming always runs the object engine's ``warm_run``.  The engines are
-    bit-identical, so the estimates are too.
+    ``engine_mode`` is checked (:mod:`repro.engine.batched`) but selects
+    nothing: there is one engine.
     """
+    validate_engine_mode(engine_mode)
     if plan is None:
         plan = SamplingPlan()
     total_records = len(trace)
@@ -394,7 +394,7 @@ def run_sampled(
             f"run it in full instead"
         )
     sim = Simulator(config=config, timing=timing, audit=audit,
-                    telemetry=telemetry, engine_mode=engine_mode)
+                    telemetry=telemetry)
     measurements, detailed_records, checkpoints_loaded, checkpoints_saved = \
         _execute_intervals(
             sim, _TraceCursor(trace), intervals,

@@ -3,14 +3,13 @@
 The production shape of the reproduction (ROADMAP item 5): instead of one
 batch process per trace, ``repro serve`` runs an :mod:`asyncio` daemon that
 multiplexes many concurrent *sessions* — each an independent simulation
-with its own config, engine mode, and architectural state — over a bounded
-worker pool dispatched through the
-:class:`~repro.experiments.backends.Backend` seam.  Clients create a
-session over a small HTTP/JSON API (stdlib only), stream trace records in
-(packed binary or NDJSON, decoded incrementally), poll per-chunk
-prediction/counter reports out, and can suspend a session to disk — a
-:class:`~repro.sampling.CheckpointStore` ``state_dict`` snapshot — and
-resume it later, on the same daemon or after a restart.
+with its own config and architectural state — over a bounded worker pool
+dispatched through the :class:`~repro.experiments.backends.Backend` seam.
+Clients create a session over a small HTTP/JSON API (stdlib only), stream
+trace records in (packed binary or NDJSON, decoded incrementally), poll
+per-chunk prediction/counter reports out, and can suspend a session to
+disk — a :class:`~repro.sampling.CheckpointStore` ``state_dict`` snapshot
+— and resume it later, on the same daemon or after a restart.
 
 Layering:
 

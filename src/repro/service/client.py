@@ -107,8 +107,10 @@ class ServiceClient:
         """Create a session; returns its status (including ``id``).
 
         ``session_id`` + ``resume=True`` re-registers a session a
-        previous daemon suspended to the shared spool (same config and
-        engine mode); follow with :meth:`resume` to reload its state.
+        previous daemon suspended to the shared spool (same config);
+        follow with :meth:`resume` to reload its state.  The daemon
+        refuses an unknown ``engine`` name; every known one runs the one
+        engine.
         """
         payload: dict = {"config": config, "engine": engine, "label": label}
         if session_id is not None:

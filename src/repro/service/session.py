@@ -1,8 +1,8 @@
 """Session multiplexing: many concurrent simulations, one worker pool.
 
-A *session* is one long-lived simulation: a config + engine mode, the
-architectural state the trace streamed so far has built, a bounded queue
-of not-yet-simulated records, and the per-chunk reports clients poll.
+A *session* is one long-lived simulation: a config, the architectural
+state the trace streamed so far has built, a bounded queue of
+not-yet-simulated records, and the per-chunk reports clients poll.
 The :class:`SessionManager` owns every session and a single *dispatcher*
 coroutine that repeatedly gathers ready sessions, cuts at most
 ``chunk_records`` off each queue, and fans the chunks out through the
@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.config import PredictorConfig, TABLE3_CONFIGS
+from repro.engine.batched import ENGINE_MODES
 from repro.engine.simulator import SimulationResult, Simulator
 from repro.experiments.backends import Backend, resolve_backend
 from repro.sampling import CheckpointStore
@@ -79,7 +80,6 @@ class _ChunkTask:
 
     session_id: str
     config: PredictorConfig
-    engine_mode: str
     records: list[TraceRecord]
     sim: Simulator | None = None
     state: dict | None = None
@@ -102,10 +102,10 @@ class _ChunkOutcome:
     error: str | None = None
 
 
-def _session_simulator(config: PredictorConfig, engine_mode: str,
+def _session_simulator(config: PredictorConfig,
                        state: dict | None = None) -> Simulator:
     """A session's simulator, restored from ``state`` when one is given."""
-    sim = Simulator(config=config, engine_mode=engine_mode)
+    sim = Simulator(config=config)
     if state is not None:
         sim.load_state_dict(state)
     return sim
@@ -114,16 +114,15 @@ def _session_simulator(config: PredictorConfig, engine_mode: str,
 def _advance_chunk(task: _ChunkTask) -> _ChunkOutcome:
     """Worker body: feed one session's chunk; module-level so it pickles.
 
-    ``Simulator.feed`` picks the engine from the session's engine mode;
-    either engine is bit-identical to a whole-trace run.  Never raises: a
-    failure comes back as ``error`` so one poisoned session cannot take
-    down a batch of healthy ones.
+    Feeding a trace in chunks is bit-identical to a whole-trace run.
+    Never raises: a failure comes back as ``error`` so one poisoned
+    session cannot take down a batch of healthy ones.
     """
     started = time.perf_counter()
     try:
         sim = task.sim
         if sim is None:
-            sim = _session_simulator(task.config, task.engine_mode, task.state)
+            sim = _session_simulator(task.config, task.state)
         counters = sim.counters
         before = (counters.instructions, counters.branches,
                   counters.bad_outcomes, sim._cycle)
@@ -154,7 +153,6 @@ class Session:
     id: str
     config_key: str
     config: PredictorConfig
-    engine_mode: str
     label: str = ""
     state: str = "active"
     error: str | None = None
@@ -205,7 +203,6 @@ class Session:
             "label": self.label,
             "config": self.config_key,
             "config_name": self.config.name,
-            "engine": self.engine_mode,
             "state": self.state,
             "error": self.error,
             "created": self.created,
@@ -258,8 +255,7 @@ class SessionManager:
         """The checkpoint model key of this session's config/timing."""
         if session.sim is not None:
             return session.sim.model_fingerprint()
-        return _session_simulator(
-            session.config, session.engine_mode).model_fingerprint()
+        return _session_simulator(session.config).model_fingerprint()
 
     def get(self, session_id: str) -> Session:
         """The session for ``session_id``; typed 404 when unknown."""
@@ -276,9 +272,11 @@ class SessionManager:
         ``session_id`` pins the identity instead of minting one —
         combined with ``resume=True`` it re-registers a session that a
         previous daemon suspended to the shared spool: the session is
-        created directly in the ``suspended`` state (same config and
-        engine mode required — the checkpoint key covers them) and a
-        normal ``resume`` call reloads its state.
+        created directly in the ``suspended`` state (same config required
+        — the checkpoint key covers it) and a normal ``resume`` call
+        reloads its state.  ``engine_mode`` is checked
+        (:mod:`repro.engine.batched`) but selects nothing: there is one
+        engine.
         """
         if self._stopping:
             raise ServiceError.draining()
@@ -292,8 +290,6 @@ class SessionManager:
             raise ServiceError.bad_request(
                 f"unknown config {config_key!r}; expected one of "
                 f"{sorted(CONFIGS)}")
-        from repro.engine.batched import ENGINE_MODES
-
         if engine_mode not in ENGINE_MODES:
             raise ServiceError.bad_request(
                 f"unknown engine mode {engine_mode!r}; expected one of "
@@ -309,13 +305,12 @@ class SessionManager:
             id=requested,
             config_key=str(config_key),
             config=config,
-            engine_mode=engine_mode,
             label=str(label or ""),
         )
         if resume:
             session.state = "suspended"
         elif not self._ship_state:
-            session.sim = _session_simulator(config, engine_mode)
+            session.sim = _session_simulator(config)
         session.reports = deque(maxlen=self.limits.reports_kept)
         self.sessions[session.id] = session
         self._count_sessions()
@@ -442,8 +437,7 @@ class SessionManager:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None,
-            lambda: _session_simulator(
-                session.config, session.engine_mode).state_dict(),
+            lambda: _session_simulator(session.config).state_dict(),
         )
 
     async def suspend(self, session: Session, *,
@@ -513,7 +507,7 @@ class SessionManager:
                 f"{session.state!r} (suspend it first)")
         loop = asyncio.get_running_loop()
         sim = await loop.run_in_executor(
-            None, _session_simulator, session.config, session.engine_mode)
+            None, _session_simulator, session.config)
         state, refusals = None, []
         if self.store is not None:
             # A view of its own, so its skip ledger names this refusal alone.
@@ -565,7 +559,6 @@ class SessionManager:
                 sim = session.sim
                 if sim is None:
                     sim = _session_simulator(session.config,
-                                             session.engine_mode,
                                              session.state_blob)
                 return sim.finish()
 
@@ -633,7 +626,6 @@ class SessionManager:
             task = _ChunkTask(
                 session_id=session.id,
                 config=session.config,
-                engine_mode=session.engine_mode,
                 records=records,
             )
             if self._ship_state:

@@ -233,7 +233,7 @@ class TestTaggedTables:
         restored = SurpriseBHT(entries=256)
         restored.load_state_dict(through_checkpoint(state, tmp_path))
         assert restored._bits == bht._bits
-        assert restored._bits.count(False) == 66
+        assert list(restored._bits.values()).count(False) == 66
 
     @pytest.mark.parametrize("kind", [PHT, CTB])
     def test_tagged_columns_of_unequal_length_are_refused(self, kind):

@@ -8,6 +8,7 @@ from repro.engine.params import TimingParams
 from repro.engine.simulator import Simulator, simulate
 from repro.isa.opcodes import BranchKind
 from repro.trace.record import TraceRecord
+from repro.workloads.catalog import workload_by_name
 
 from tests.conftest import assert_contiguous, branch, loop_trace, straightline
 
@@ -202,3 +203,36 @@ class TestZEC12Configs:
     def test_config1_has_no_preload_stats(self):
         result = simulate(loop_trace(iterations=10), config=ZEC12_CONFIG_1)
         assert result.preload_stats == {}
+
+
+class TestFeed:
+    def test_feeds_split_anywhere_match_one_run(self):
+        # Callers split detailed records across feeds (measure points,
+        # parallel heartbeat blocks, service chunks); each split must be
+        # invisible.
+        trace = list(workload_by_name("CB84").trace(scale=0.02))
+        reference = Simulator(config=ZEC12_CONFIG_2)
+        reference.run(trace)
+        cuts = [0, 1, 777, 8197, len(trace) // 2, len(trace)]
+        pieces = Simulator(config=ZEC12_CONFIG_2)
+        for start, stop in zip(cuts, cuts[1:]):
+            pieces.feed(iter(trace[start:stop]))
+        pieces.finish()
+        assert reference.state_dict() == pieces.state_dict()
+
+
+class TestEngineModeArgument:
+    def test_entry_points_refuse_unknown_modes(self):
+        # ``run_workload`` and ``run_sampled`` still take an engine mode;
+        # a known one selects the one engine, an unknown one is refused
+        # before anything runs.
+        from repro.experiments.common import run_workload
+        from repro.sampling import run_sampled
+
+        spec = workload_by_name("TPF")
+        for unknown in ("batched", "warp"):
+            with pytest.raises(ValueError, match="unknown engine_mode"):
+                run_workload(spec, ZEC12_CONFIG_2, scale=0.01,
+                             engine_mode=unknown)
+            with pytest.raises(ValueError, match="unknown engine_mode"):
+                run_sampled(loop_trace(iterations=10), engine_mode=unknown)

@@ -60,12 +60,11 @@ def test_warm_run_is_resumable_mid_trace():
 
 
 def test_warm_resume_from_state_dict_is_engine_agnostic():
-    """Warm-from-checkpoint parity across engines.
+    """Warm-from-checkpoint parity.
 
     The checkpoint-parallel fan-out snapshots ``state_dict()`` mid-trace
-    and resumes workers that may run either engine.  Both engines warming
-    the remainder from the *same* restored state must land on the same
-    state, and that state must equal never having checkpointed at all.
+    and resumes workers from it.  Warming the remainder from the restored
+    state must land on the state of never having checkpointed at all.
     """
     trace = workload_by_name("Informix").trace(scale=0.05)
     split = len(trace) // 3
@@ -75,21 +74,18 @@ def test_warm_resume_from_state_dict_is_engine_agnostic():
         producer.step(record)  # detailed stepping, as the producer does
     snapshot = producer.state_dict()
 
-    resumed_object = Simulator(config=ZEC12_CONFIG_2, engine_mode="object")
-    resumed_object.load_state_dict(snapshot)
-    resumed_object.warm_run(iter(trace[split:]))
+    resumed = Simulator(config=ZEC12_CONFIG_2)
+    resumed.load_state_dict(snapshot)
+    resumed.warm_run(iter(trace[split:]))
 
-    resumed_auto = Simulator(config=ZEC12_CONFIG_2, engine_mode="auto")
-    resumed_auto.load_state_dict(snapshot)
-    resumed_auto.warm_run(iter(trace[split:]))
-
-    assert resumed_object.state_dict() == resumed_auto.state_dict()
+    producer.warm_run(iter(trace[split:]))
+    assert resumed.state_dict() == producer.state_dict()
 
 
 def test_detailed_resume_from_state_dict_matches_serial_across_engines():
-    """Detailed feeding after a restore is engine-independent too: the
+    """Detailed feeding after a restore matches the serial run: the
     parallel workers' measured slices, fed from a restored boundary
-    state, are bit-identical whichever engine consumes them."""
+    state, are bit-identical to the uninterrupted run."""
     trace = workload_by_name("TPF").trace(scale=0.05)
     split = len(trace) // 2
 
@@ -101,14 +97,12 @@ def test_detailed_resume_from_state_dict_matches_serial_across_engines():
         producer.step(record)
     snapshot = producer.state_dict()
 
-    for engine_mode in ("object", "auto"):
-        resumed = Simulator(config=ZEC12_CONFIG_2, engine_mode=engine_mode)
-        resumed.load_state_dict(snapshot)
-        resumed.feed(trace[split:])
-        result = resumed.finish()
-        assert result.counters.state_dict() == \
-            reference.counters.state_dict(), engine_mode
-        assert result.cpi == reference.cpi
+    resumed = Simulator(config=ZEC12_CONFIG_2)
+    resumed.load_state_dict(snapshot)
+    resumed.feed(trace[split:])
+    result = resumed.finish()
+    assert result.counters.state_dict() == reference.counters.state_dict()
+    assert result.cpi == reference.cpi
 
 
 @st.composite

@@ -67,8 +67,6 @@ class TestRunSpecKeys:
             (RunSpec(workload_by_name("Z/OS DBServ benchmark"),
                      ZEC12_CONFIG_2, scale=0.3),
              "61768cab58b7ea047740"),
-            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, engine_mode="auto"),
-             "4a344c32f1bd0b853dcc"),
             (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02,
                      sampling=SamplingPlan()),
              "cffeba94febe3a642ee2"),
@@ -76,10 +74,6 @@ class TestRunSpecKeys:
                      parallel=ParallelPlan(4), backend="serial"),
              "d2519de9d826171bbecb"),
             (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, predictor="tage"),
-             "592f7cc55718303b8ea2"),
-            # The zoo has one engine, so its engine_mode is not keyed.
-            (RunSpec(tpf, ZEC12_CONFIG_2, scale=0.02, predictor="tage",
-                     engine_mode="auto"),
              "592f7cc55718303b8ea2"),
             (RunSpec(tpf, ZEC12_CONFIG_1, scale=0.02),
              "2c74681dabda82bb60c1"),

@@ -39,7 +39,7 @@ def measured(monkeypatch):
     store = {}
 
     def fake_measure(scale, config=None, jobs=None, predictors=None,
-                     workloads=None, engine_mode="object"):
+                     workloads=None):
         return {"paper": {
             name: block for name, block in store.items()
             if workloads is None or name in workloads

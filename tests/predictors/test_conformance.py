@@ -77,8 +77,7 @@ class TestBatteryTeeth:
 
 @pytest.fixture
 def flaky_registered(monkeypatch):
-    def factory(config, timing, *, audit=False, telemetry=None,
-                engine_mode="object"):
+    def factory(config, timing, *, audit=False, telemetry=None):
         return _Flaky(config, timing, audit=audit, telemetry=telemetry)
 
     monkeypatch.setitem(

@@ -85,9 +85,8 @@ class TestPaperStack:
     def test_create_predictor_returns_the_simulator(self):
         # No adapter: the factory only translates its flags, and a run
         # through it is bit-identical to a directly built simulator.
-        paper = create_predictor("paper", engine_mode="auto")
+        paper = create_predictor("paper")
         assert type(paper) is Simulator
-        assert paper.engine_mode == "auto"
         assert paper.audit is None
         assert create_predictor("paper", audit=True).audit is not None
         trace = build_trace(9, 400)

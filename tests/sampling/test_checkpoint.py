@@ -212,6 +212,68 @@ def test_a_state_whose_columns_disagree_is_refused_untouched(
     assert sim.state_dict() == before
 
 
+def _three_item_warm_block(state):
+    state["warm_blocks"].append([0x10000, 1, 1])
+
+
+def _unknown_btb_kind(state):
+    state["hierarchy"]["btb1"]["entries"]["kind"][0] = "NOT_A_KIND"
+
+
+def _pht_slot(index):
+    def tamper(state):
+        table = state["hierarchy"]["pht"]["table"]
+        table["index"].append(index)
+        table["tag"].append(1)
+        table["counter"].append(1)
+    return tamper
+
+
+def _surprise_bht_slot(index):
+    def tamper(state):
+        bits = state["hierarchy"]["surprise_bht"]["bits"]
+        bits["index"].append(index)
+        bits["bit"].append(True)
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    _three_item_warm_block,
+    _unknown_btb_kind,
+    _pht_slot(ZEC12_CONFIG_2.pht_entries),
+    _pht_slot(-1),
+    _surprise_bht_slot(-3),
+], ids=["warm-block-triple", "unknown-kind", "pht-past-end", "pht-negative",
+        "surprise-bht-negative"])
+def test_a_malformed_state_is_refused_untouched(tmp_path, tamper):
+    """Content no restore can reproduce is refused before anything loads.
+
+    Each state passes the version, fingerprint and column-length checks,
+    so only the simulator's own field reads and the tables' kind and index
+    checks stand between it and a half-restored (or silently different)
+    simulator.
+    """
+    from repro.telemetry.metrics import REGISTRY
+
+    def refused():
+        metric = REGISTRY.get("repro_checkpoint_store_total")
+        return metric.value(result="refused") if metric else 0.0
+
+    store = CheckpointStore(tmp_path)
+    sim = Simulator(config=ZEC12_CONFIG_2)
+    sim.warm_run(iter(workload_by_name("TPF").trace(scale=0.02)))
+    before = sim.state_dict()
+    damaged = _warmed_state()
+    tamper(damaged)
+    identity = ("trace", ("plan",), 0)
+    path = store.save(sim.model_fingerprint(), *identity, damaged)
+    count = refused()
+    assert store.restore(sim, *identity) is None
+    assert refused() - count == 1
+    assert [skipped for skipped, _ in store.skipped] == [path]
+    assert sim.state_dict() == before
+
+
 def test_store_save_load_entries_clear(tmp_path):
     store = CheckpointStore(tmp_path)
     state = {"version": 1, "payload": [1, 2, 3]}

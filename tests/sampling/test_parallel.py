@@ -73,18 +73,6 @@ def test_exact_parallel_is_bit_identical_to_serial(workload, backend):
     assert stitched.cpi == serial.cpi
 
 
-def test_exact_parallel_under_auto_is_bit_identical_to_serial():
-    """The producer and the slices feed the batched core under ``auto``."""
-    spec = workload_by_name("TPF")
-    serial = simulate(spec.trace(0.05), config=ZEC12_CONFIG_2)
-    stitched = run_parallel(_source("TPF", 0.05), config=ZEC12_CONFIG_2,
-                            plan=ParallelPlan(4), backend="serial",
-                            engine_mode="auto")
-    assert stitched.result.counters.state_dict() == \
-        serial.counters.state_dict()
-    assert stitched.result.cpi == serial.cpi
-
-
 def test_exact_single_slice_degenerates_to_serial():
     spec = workload_by_name("TPF")
     serial = simulate(spec.trace(0.05), config=ZEC12_CONFIG_2)

@@ -55,16 +55,6 @@ class TestParity:
         result = _run(body, backend=backend)
         assert result["counters"] == _expected(records)
 
-    def test_batched_engine_mode_parity(self):
-        records = _trace()
-
-        async def body(manager):
-            return await _feed_and_close(manager, records,
-                                         engine_mode="auto")
-
-        result = _run(body)
-        assert result["counters"] == _expected(records)
-
     def test_many_sessions_multiplex_independently(self):
         records = _trace()
 

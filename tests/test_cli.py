@@ -264,7 +264,7 @@ def faithful_measure(real: dict):
     committed cells of ``real`` (a perfect re-measurement)."""
 
     def measure(scale, config=None, jobs=None, predictors=None,
-                workloads=None, engine_mode="object"):
+                workloads=None):
         return {name: {workload: real["predictors"][name][workload]
                        for workload in workloads}
                 for name in predictors}
@@ -335,8 +335,11 @@ class TestVerifyCommand:
                      "--workloads", "TPF"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "golden[paper]: 1 cell(s) within tolerance, object" in out
-        assert "golden[paper]: 1 cell(s) within tolerance, auto" in out
+        # One engine, so each cell is measured once: one gate line.
+        assert [line for line in out.splitlines()
+                if line.startswith("golden[paper]: ")] == [
+            f"golden[paper]: 1 cell(s) within tolerance (scale "
+            f"{real['scale']}, {golden.GOLDEN_PATH})"]
 
     def test_workload_selection_narrows_every_predictors_cells(
         self, tmp_path, capsys, monkeypatch
@@ -392,11 +395,7 @@ class TestVerifyEndToEnd:
                     if line.startswith("lockstep[paper]: ")]
         assert len(lockstep) == 5
         assert all("no divergence" in line for line in lockstep)
-        # The golden gate re-measures with both engines by default, making
-        # it a bit-identity check of the batched core against object.
-        assert ("golden[paper]: 15 cell(s) within tolerance, object engine"
-                in out)
-        assert ("golden[paper]: 15 cell(s) within tolerance, auto engine"
+        assert ("golden[paper]: 15 cell(s) within tolerance (scale"
                 in out)
         # The parallel gate demands bit-identity between serial and the
         # stitched checkpoint-parallel run on every golden-slate workload.
@@ -464,12 +463,13 @@ class TestPredictorCli:
         assert "paper stack only" in capsys.readouterr().err
 
     def test_simulate_zoo_refuses_alternate_engines(self, capsys):
-        # ``batched`` is no longer a mode: ``auto`` runs the batched core.
+        # There is one engine: ``simulate`` has no ``--engine`` to pick one.
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "TPF", "--predictor", "tage",
                   "--engine", "batched", "--scale", "0.02"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'batched'" in capsys.readouterr().err
+        assert ("unrecognized arguments: --engine batched"
+                in capsys.readouterr().err)
 
     def test_simulate_unknown_predictor_raises(self):
         with pytest.raises(ValueError, match="registered"):

@@ -49,10 +49,8 @@ def test_performance_doc_is_registered():
     # docs/PERFORMANCE.md is load-bearing: the README, ARCHITECTURE.md,
     # and the bench modules all point readers at its sections.
     headings = check_docs.REQUIRED_HEADINGS["docs/PERFORMANCE.md"]
-    assert "## The fast/slow path contract" in headings
+    assert "## Engine modes" in headings
     assert "## Reading the BENCH files" in headings
-    assert ("## Batched engine core"
-            in check_docs.REQUIRED_HEADINGS["docs/ARCHITECTURE.md"])
 
 
 def test_docstring_coverage_clean():
