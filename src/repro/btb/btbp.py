@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.btb.entry import BTBEntry
+from repro.btb.entry import BTBEntry, check_keys
 from repro.btb.storage import BranchTargetBuffer
 
 BTBP_ROWS = 128
@@ -29,6 +29,10 @@ BTBP_WAYS = 6
 
 class WriteSource(enum.Enum):
     """The four architected write sources of the BTBP."""
+
+    #: Hash by identity, in C, for the per-write counter dict
+    #: (:meth:`BTBP.write`); see :class:`repro.core.events.OutcomeKind`.
+    __hash__ = object.__hash__
 
     SURPRISE = "surprise"
     PRELOAD_INSTRUCTION = "preload_instruction"
@@ -64,6 +68,17 @@ class BTBP(BranchTargetBuffer):
             source.value: count for source, count in self.writes_by_source.items()
         }
         return state
+
+    def check_state(self, state: dict) -> None:
+        """The table's checks, and every write source named must be known."""
+        super().check_state(state)
+        check_keys(self.name, state, ("writes_by_source",))
+        unknown = set(state["writes_by_source"]).difference(
+            source.value for source in WriteSource)
+        if unknown:
+            raise ValueError(
+                f"{self.name} snapshot: unknown write source(s) "
+                f"{sorted(unknown)}")
 
     def load_state_dict(self, state: dict) -> None:
         """Restore table state and counters captured by ``state_dict``."""

@@ -94,17 +94,15 @@ class BTBEntry:
             self.target_misses = 0
 
     def clone(self) -> "BTBEntry":
-        """Deep copy, for configurations that must not share learned state."""
+        """Deep copy, for configurations that must not share learned state.
+
+        Positional, in field order (:data:`STATE_FIELDS`): every BTB2
+        transfer hit and victim write-back builds one.
+        """
         return BTBEntry(
-            address=self.address,
-            target=self.target,
-            kind=self.kind,
-            counter=self.counter,
-            use_pht=self.use_pht,
-            use_ctb=self.use_ctb,
-            ctb_confidence=self.ctb_confidence,
-            bimodal_misses=self.bimodal_misses,
-            target_misses=self.target_misses,
+            self.address, self.target, self.kind, self.counter, self.use_pht,
+            self.use_ctb, self.ctb_confidence, self.bimodal_misses,
+            self.target_misses,
         )
 
     # -- checkpointing -----------------------------------------------------
@@ -130,6 +128,17 @@ STATE_FIELDS = tuple(entry_field.name for entry_field in fields(BTBEntry))
 #: Branch kinds by name.  Snapshots store a kind's name, so restoring one
 #: never depends on the member order of :class:`BranchKind`.
 KINDS = {kind.name: kind for kind in BranchKind}
+
+
+def check_keys(name: str, state: dict, keys) -> None:
+    """Raise ``ValueError`` unless a snapshot block holds every one of ``keys``.
+
+    A restore that met a missing key would raise ``KeyError`` after the
+    blocks before it had already loaded.
+    """
+    missing = [key for key in keys if key not in state]
+    if missing:
+        raise ValueError(f"{name} snapshot: missing {', '.join(missing)}")
 
 
 def check_indices(name: str, indices: list, size: int) -> None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.btb.entry import check_keys
+
 FIT_ENTRIES = 64
 
 
@@ -58,6 +60,10 @@ class FIT:
             "hits": self.hits,
             "misses": self.misses,
         }
+
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless the snapshot holds every key."""
+        check_keys("FIT", state, ("table", "hits", "misses"))
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.btb.entry import check_keys
 from repro.caches.setassoc import CacheGeometry, SetAssociativeCache
 from repro.isa.address import block_address
 
@@ -80,6 +81,12 @@ class ICache:
             "cache": self._cache.state_dict(),
             "recent_misses": [[cycle, block] for cycle, block in self._recent_misses],
         }
+
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless the snapshot holds every key."""
+        check_keys("icache", state, ("cache", "recent_misses"))
+        check_keys("icache tag array", state["cache"],
+                   ("sets", "hits", "misses"))
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""

@@ -10,7 +10,7 @@ from repro.core.config import (
     ZEC12_CONFIG_3,
 )
 from repro.core.events import MissReport, OutcomeKind, Prediction, PredictionLevel
-from repro.core.hierarchy import FirstLevelPredictor, Resolution, RowHit
+from repro.core.hierarchy import FirstLevelPredictor, RowHit
 from repro.core.search import (
     BROADCAST_LATENCY,
     LookaheadSearch,
@@ -31,7 +31,6 @@ __all__ = [
     "Prediction",
     "PredictionLevel",
     "PredictorConfig",
-    "Resolution",
     "RowHit",
     "SEQUENTIAL_CYCLES_PER_ROW",
     "SearchOutcome",

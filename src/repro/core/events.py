@@ -60,6 +60,13 @@ class MissReport:
 class OutcomeKind(enum.Enum):
     """Taxonomy of dynamic branch outcomes (Figure 4)."""
 
+    #: Members hash by identity, in C.  ``Enum.__hash__`` is Python code
+    #: hashing the member name, and every dynamic branch counts its outcome
+    #: in a dict keyed by kind (``SimCounters.record_outcome``).  Members
+    #: are singletons that compare by identity, so every dict and set of
+    #: them holds, orders and finds the same items as before.
+    __hash__ = object.__hash__
+
     #: Dynamically predicted, direction and target both correct.
     GOOD_DYNAMIC = "good_dynamic"
     #: Surprise branch, guessed correctly, resolved not-taken (no penalty).

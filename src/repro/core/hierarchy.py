@@ -23,7 +23,7 @@ from repro.btb.btb1 import BTB1
 from repro.btb.btb2 import BTB2
 from repro.btb.btbp import BTBP, WriteSource
 from repro.btb.ctb import CTB
-from repro.btb.entry import BTBEntry, WEAK_TAKEN
+from repro.btb.entry import BTBEntry, WEAK_TAKEN, check_keys
 from repro.btb.fit import FIT
 from repro.btb.history import PathHistory
 from repro.btb.pht import PHT
@@ -46,16 +46,6 @@ class RowHit:
     entry: BTBEntry
     level: PredictionLevel
     from_mru: bool
-
-
-@dataclass(slots=True)
-class Resolution:
-    """Content decision for a found branch: direction and target."""
-
-    taken: bool
-    target: int | None
-    used_pht: bool
-    used_ctb: bool
 
 
 class FirstLevelPredictor:
@@ -136,12 +126,16 @@ class FirstLevelPredictor:
             return None
         return RowHit(best, level, best_ways[0] is best)
 
-    def resolve_content(self, entry: BTBEntry) -> Resolution:
+    def resolve_content(
+        self, entry: BTBEntry
+    ) -> tuple[bool, int | None, bool, bool]:
         """Direction/target decision for a found branch.
 
-        The bimodal counter decides unless the entry's ``use_pht`` bit is set
-        and the PHT tag matches; the stored target is used unless ``use_ctb``
-        is set and the CTB tag matches (3.1).
+        Returns ``(taken, target, used_pht, used_ctb)``: a plain tuple, as
+        this runs once per prediction.  The bimodal counter decides unless
+        the entry's ``use_pht`` bit is set and the PHT tag matches; the
+        stored target is used unless ``use_ctb`` is set and the CTB tag
+        matches (3.1).  ``target`` is ``None`` for a not-taken decision.
         """
         taken = entry.predict_taken
         used_pht = False
@@ -159,7 +153,7 @@ class FirstLevelPredictor:
                 if ctb_target is not None:
                     target = ctb_target
                     used_ctb = True
-        return Resolution(taken, target, used_pht, used_ctb)
+        return taken, target, used_pht, used_ctb
 
     def use_prediction(self, hit: RowHit | Prediction) -> BTBEntry | None:
         """Apply the move protocol after a structure makes a prediction.
@@ -289,17 +283,22 @@ class FirstLevelPredictor:
         }
 
     def check_state(self, state: dict) -> None:
-        """Raise ``ValueError`` where a table would refuse its snapshot.
+        """Raise ``ValueError`` where a block would refuse its snapshot.
 
-        Runs every column table's ``check_state``, so a caller can refuse a
-        snapshot before :meth:`load_state_dict` changes anything.
+        Checks the snapshot's keys and runs every column table's and the
+        FIT's ``check_state``, so a caller can refuse a snapshot before
+        :meth:`load_state_dict` changes anything.
         """
+        check_keys("hierarchy", state, (
+            "btb1", "btbp", "pht", "ctb", "fit", "surprise_bht", "history",
+            "btbp_promotions", "surprise_installs"))
         self.btb1.check_state(state["btb1"])
         if self.btbp is not None:
             self.btbp.check_state(state["btbp"])
         self.pht.check_state(state["pht"])
         self.ctb.check_state(state["ctb"])
         self.surprise_bht.check_state(state["surprise_bht"])
+        self.fit.check_state(state["fit"])
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""

@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.btb.entry import check_keys
 from repro.core.events import MissReport, Prediction, PredictionLevel
 from repro.core.hierarchy import FirstLevelPredictor, RowHit
-from repro.isa.address import ROW_BYTES, next_row, row_address
+from repro.isa.address import ADDRESS_MASK, ROW_BYTES, next_row, row_address
 
 #: b0 -> b4 broadcast latency of the 7-stage pipeline (Table 1).
 BROADCAST_LATENCY = 4
@@ -45,6 +46,9 @@ BROADCAST_LATENCY = 4
 MISS_DETECT_LATENCY = 3
 #: Cycles per empty sequential 32-byte search (16 B/cycle average).
 SEQUENTIAL_CYCLES_PER_ROW = 2
+
+#: ``address & _ROW_MASK`` is :func:`~repro.isa.address.row_address`, inline.
+_ROW_MASK = ~(ROW_BYTES - 1) & ADDRESS_MASK
 
 #: Per-prediction re-index costs (cycles until the next search's b0).
 COST_SINGLE_BRANCH_LOOP = 1
@@ -131,6 +135,14 @@ class LookaheadSearch:
             "miss_reports_made": self.miss_reports_made,
         }
 
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless the snapshot holds every key."""
+        check_keys("search", state, (
+            "cycle", "search_address", "consecutive_empty",
+            "first_empty_address", "last_taken_address", "last_not_taken_row",
+            "searches", "empty_searches", "predictions_made",
+            "miss_reports_made"))
+
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
         self.cycle = state["cycle"]
@@ -168,9 +180,12 @@ class LookaheadSearch:
           and the demanded branch is simply a surprise.
         """
         reports: list[MissReport] = []
-        if row_address(branch_address) < row_address(self.search_address):
+        row = self.search_address & _ROW_MASK
+        gap = (branch_address & _ROW_MASK) - row
+        if gap < 0:
             return SearchOutcome(None, reports)
-        self._walk_gap(branch_address, reports)
+        if gap:
+            self._walk_gap(row, gap // ROW_BYTES, reports)
         hit = self.hierarchy.first_hit_in_row(self.search_address)
         if hit is None:
             self.searches += 1
@@ -178,11 +193,14 @@ class LookaheadSearch:
             self._note_empty_search(reports)
             self.cycle += SEQUENTIAL_CYCLES_PER_ROW
             self.search_address = next_row(self.search_address)
-            return SearchOutcome(None, self._flush(reports))
-        if hit.entry.address != branch_address:
-            return SearchOutcome(None, self._flush(reports))
-        prediction = self._predict(hit)
-        return SearchOutcome(prediction, self._flush(reports))
+            prediction = None
+        elif hit.entry.address != branch_address:
+            prediction = None
+        else:
+            prediction = self._predict(hit)
+        if reports:
+            self._flush(reports)
+        return SearchOutcome(prediction, reports)
 
     def run_ahead(self, until_cycle: int) -> list[MissReport]:
         """Free-run sequential searches until ``until_cycle``.
@@ -210,19 +228,41 @@ class LookaheadSearch:
             self.search_address = next_row(self.search_address)
         return self._flush(reports)
 
-    def _walk_gap(self, branch_address: int, reports: list[MissReport]) -> None:
-        """Sequentially search the (branch-free) rows before the branch's row."""
-        target_row = row_address(branch_address)
-        guard = 0
-        while row_address(self.search_address) != target_row:
-            self.searches += 1
-            self.empty_searches += 1
-            self._note_empty_search(reports)
-            self.cycle += SEQUENTIAL_CYCLES_PER_ROW
-            self.search_address = next_row(self.search_address)
-            guard += 1
-            if guard > 1 << 20:  # pragma: no cover - defensive
-                raise RuntimeError("runaway sequential search")
+    def _walk_gap(self, row: int, rows: int,
+                  reports: list[MissReport]) -> None:
+        """Sequentially search the ``rows`` (branch-free) rows from ``row``.
+
+        ``row`` is the start of the searcher's row and the branch's row
+        lies ``rows`` rows after it.  Each row is one empty search, counted
+        and reported exactly as :meth:`_note_empty_search` would at that
+        row's b0 cycle, in one frame for the whole gap.  The first search
+        is at the search address itself, every later one at a row start;
+        the searcher ends at the start of the branch's row.
+        """
+        if rows > 1 << 20:  # pragma: no cover - defensive
+            raise RuntimeError("runaway sequential search")
+        address = self.search_address
+        cycle = self.cycle
+        empty = self._consecutive_empty
+        first = self._first_empty_address
+        limit = self.miss_limit
+        for _ in range(rows):
+            if not empty:
+                first = address
+            empty += 1
+            if empty >= limit:
+                reports.append(MissReport(first, cycle + MISS_DETECT_LATENCY))
+                self.miss_reports_made += 1
+                empty = 0
+            cycle += SEQUENTIAL_CYCLES_PER_ROW
+            row += ROW_BYTES
+            address = row
+        self.searches += rows
+        self.empty_searches += rows
+        self.cycle = cycle
+        self.search_address = address
+        self._consecutive_empty = empty
+        self._first_empty_address = first
 
     def _note_empty_search(self, reports: list[MissReport]) -> None:
         """Count one empty search; emit a miss report at the limit.
@@ -251,15 +291,14 @@ class LookaheadSearch:
         self._consecutive_empty = 0
         entry = hit.entry
         address = entry.address
-        resolution = self.hierarchy.resolve_content(entry)
-        taken = resolution.taken
-        target = resolution.target
+        taken, target, used_pht, used_ctb = (
+            self.hierarchy.resolve_content(entry))
         cost = self._prediction_cost(hit, taken)
         # Positional, in field order: passing keywords would double the
         # cost of building one on this per-branch path.
         prediction = Prediction(
             address, taken, target, hit.level, self.cycle + BROADCAST_LATENCY,
-            entry, hit.from_mru, resolution.used_pht, resolution.used_ctb,
+            entry, hit.from_mru, used_pht, used_ctb,
         )
         self.predictions_made += 1
         if self.telemetry is not None:

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (audit -> engine)
     from repro.telemetry import Telemetry
 
 from repro.btb.btb2 import BTB2
+from repro.btb.entry import check_keys
 from repro.caches.icache import ICache
 from repro.core.config import PredictorConfig, ZEC12_CONFIG_2
 from repro.core.events import MissReport, OutcomeKind, Prediction, PredictionLevel
@@ -525,11 +526,12 @@ class Simulator(Predictor):
         """Restore a snapshot taken by :meth:`state_dict`.
 
         Raises ``ValueError`` on a schema-version or model-fingerprint
-        mismatch, on a table that would not restore as stored (columns
-        that disagree, an index outside the table, an unknown branch
-        kind), or on a malformed field of the simulator's own, before
-        touching any state, rather than restoring into an incompatible
-        simulator.
+        mismatch, on a missing key of the state or of a nested block
+        (counters, hierarchy, BTB2, icache, search, preload), on a table
+        that would not restore as stored (columns that disagree, an index
+        outside the table, an unknown branch kind), or on a malformed
+        field of the simulator's own, before touching any state, rather
+        than restoring into an incompatible simulator.
         """
         if state.get("version") != self.STATE_VERSION:
             raise ValueError(
@@ -542,9 +544,18 @@ class Simulator(Predictor):
                 f"(snapshot model {state.get('model')!r}, "
                 f"this simulator {self.model_fingerprint()!r})"
             )
+        check_keys("simulator", state, (
+            "config_name", "cycle", "started", "expected_address",
+            "seen_branches", "current_line", "warm_blocks", "line_fills",
+            "counters", "hierarchy", "btb2", "icache", "search", "preload"))
+        self.counters.check_state(state["counters"])
         self.hierarchy.check_state(state["hierarchy"])
         if self.btb2 is not None:
             self.btb2.check_state(state["btb2"])
+        self.icache.check_state(state["icache"])
+        self.search.check_state(state["search"])
+        if self.preload is not None:
+            self.preload.check_state(state["preload"])
         # Every field of the simulator's own is read before the first
         # assignment, so a malformed one refuses the whole state.
         cycle = state["cycle"]

@@ -436,6 +436,35 @@ def _execute(
         return predictor.run(trace), None
 
 
+def run_result(
+    plan: RunSpec,
+    result: SimulationResult,
+    source: SampledResult | ParallelResult | None,
+    elapsed: float = 0.0,
+) -> RunResult:
+    """The :class:`RunResult` of ``plan``, from what :func:`execute_plan`
+    returned and the run's wall ``elapsed`` seconds."""
+    sampled = source.sampled if plan.parallel is not None else source
+    return RunResult(
+        workload=plan.workload.name,
+        config=plan.config.name,
+        cpi=result.cpi,
+        instructions=result.counters.instructions,
+        branches=result.counters.branches,
+        outcome_fractions={
+            kind.value: fraction
+            for kind, fraction in result.counters.outcome_fractions().items()
+        },
+        preload_stats=dict(result.preload_stats),
+        predictor=plan.predictor,
+        sampling=_sampled_info(sampled) if sampled is not None else None,
+        parallel=(_parallel_info(source) if plan.parallel is not None
+                  else None),
+        wall_seconds=elapsed,
+        worker=multiprocessing.current_process().name,
+    )
+
+
 def run_plan(plan: RunSpec) -> RunResult:
     """Run ``plan`` through the on-disk result cache.
 
@@ -474,25 +503,7 @@ def run_plan(plan: RunSpec) -> RunResult:
             board.beat(label, "failed")
         raise
     elapsed = time.perf_counter() - started
-    sampled = source.sampled if plan.parallel is not None else source
-    run = RunResult(
-        workload=plan.workload.name,
-        config=plan.config.name,
-        cpi=result.cpi,
-        instructions=result.counters.instructions,
-        branches=result.counters.branches,
-        outcome_fractions={
-            kind.value: fraction
-            for kind, fraction in result.counters.outcome_fractions().items()
-        },
-        preload_stats=dict(result.preload_stats),
-        predictor=plan.predictor,
-        sampling=_sampled_info(sampled) if sampled is not None else None,
-        parallel=(_parallel_info(source) if plan.parallel is not None
-                  else None),
-        wall_seconds=elapsed,
-        worker=multiprocessing.current_process().name,
-    )
+    run = run_result(plan, result, source, elapsed)
     if board is not None:
         board.beat(label, "done", instructions=run.instructions,
                    seconds=elapsed)

@@ -15,8 +15,9 @@ demand.  The classification taxonomy follows section 5.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from repro.btb.entry import check_keys
 from repro.core.events import OutcomeKind
 
 
@@ -72,6 +73,19 @@ class SimCounters:
             "icache_partially_hidden_misses": self.icache_partially_hidden_misses,
             "context_switches": self.context_switches,
         }
+
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless :meth:`load_state_dict` restores it whole.
+
+        Every counter must be present and every outcome name known.
+        """
+        check_keys("counters", state,
+                   [counter.name for counter in fields(self)])
+        unknown = set(state["outcomes"]).difference(
+            kind.value for kind in OutcomeKind)
+        if unknown:
+            raise ValueError(
+                f"counters snapshot: unknown outcome(s) {sorted(unknown)}")
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""

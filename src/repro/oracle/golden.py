@@ -16,11 +16,13 @@ exact (a relative epsilon absorbs only float-serialization round-trips).
 Intentional looseness can be recorded in the file itself — the tolerances
 travel with the baseline, not with the checking code.
 
-Measurement goes through :func:`repro.experiments.pool.run_many`, so a
-verify pass reuses the shared on-disk result cache and parallelizes across
-cells.  :func:`compare_parallel`, the serial-vs-checkpoint-parallel
-bit-identity gate, also lives here; it covers the paper stack only,
-because zoo members run serial full detail.
+Every cell is simulated: :func:`measure` runs each one through
+:func:`repro.experiments.common.execute_plan`, the path ``repro simulate``
+takes, which never reads the on-disk result cache, so a stored result
+cannot stand in for the engine under test.  Cells run in parallel through
+:func:`repro.experiments.pool.parallel_map`.  :func:`compare_parallel`,
+the serial-vs-checkpoint-parallel bit-identity gate, also lives here; it
+covers the paper stack only, because zoo members run serial full detail.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.config import ZEC12_CONFIG_2, PredictorConfig
-from repro.experiments.common import RunResult
+from repro.experiments.common import (
+    RunResult,
+    RunSpec,
+    execute_plan,
+    run_result,
+)
 from repro.workloads.catalog import TABLE4_WORKLOADS, WorkloadSpec
 
 #: Schema version of the baseline file.
@@ -88,6 +95,12 @@ def golden_specs(
             if name in catalog]
 
 
+def _measure_cell(plan: RunSpec) -> dict:
+    """Simulate one cell through ``execute_plan`` and return its metrics."""
+    result, source = execute_plan(plan)
+    return workload_metrics(run_result(plan, result, source))
+
+
 def measure(
     scale: float = GOLDEN_SCALE,
     config: PredictorConfig = ZEC12_CONFIG_2,
@@ -99,22 +112,24 @@ def measure(
 
     ``predictors`` defaults to the whole registry and ``workloads`` (exact
     names) to :data:`GOLDEN_WORKLOADS`; a name the catalog does not know is
-    left out of the result.
+    left out of the result.  Every cell is simulated (:func:`_measure_cell`),
+    at most ``jobs`` at a time; the result cache is neither read nor
+    written.
     """
-    from repro.experiments.pool import RunSpec, run_many
+    from repro.experiments.pool import parallel_map
     from repro.predictors.registry import predictor_names
 
     selected = golden_specs(workloads)
-    specs = [
+    plans = [
         RunSpec(workload=workload, config=config, scale=scale,
                 predictor=name)
         for name in (predictor_names() if predictors is None else predictors)
         for workload in selected
     ]
     grid: dict[str, dict[str, dict]] = {}
-    for spec, run in zip(specs, run_many(specs, jobs=jobs)):
-        grid.setdefault(spec.predictor, {})[run.workload] = (
-            workload_metrics(run))
+    for plan, metrics in zip(plans, parallel_map(_measure_cell, plans,
+                                                  jobs=jobs)):
+        grid.setdefault(plan.predictor, {})[plan.workload.name] = metrics
     return grid
 
 
@@ -260,7 +275,7 @@ def compare_parallel(
     serial result can never satisfy (or poison) the parallel side of the
     comparison.
     """
-    from repro.experiments.pool import RunSpec, run_many
+    from repro.experiments.pool import run_many
     from repro.sampling import ParallelPlan
 
     selected = golden_specs(workloads)

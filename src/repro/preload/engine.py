@@ -17,6 +17,7 @@ This facade implements sections 3.5-3.7 end to end:
 from __future__ import annotations
 
 from repro.btb.btb2 import BTB2
+from repro.btb.entry import check_indices, check_keys
 from repro.caches.icache import ICache
 from repro.core.config import FilterMode, PredictorConfig
 from repro.core.events import MissReport
@@ -386,6 +387,31 @@ class PreloadEngine:
                 "followed_blocks": self.followed_blocks,
             },
         }
+
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless :meth:`load_state_dict` restores it whole.
+
+        Checks this engine's keys and counters, the tracker file
+        (:meth:`TrackerFile.check_state`), the ordering blocks' keys, and
+        the transfer engine's keys and tracker slots
+        (:meth:`TransferEngine.check_state`).
+        """
+        check_keys("preload", state, (
+            "trackers", "ordering_table", "ordering_tracker", "transfer",
+            "block_waiters", "counters"))
+        check_keys("preload counters", state["counters"], (
+            "full_searches", "partial_searches", "partial_upgrades",
+            "partial_invalidations", "filtered_misses",
+            "duplicate_miss_reports", "decode_miss_reports",
+            "followed_blocks"))
+        self.trackers.check_state(state["trackers"])
+        check_keys("ordering table", state["ordering_table"],
+                   ("sets", "hits", "misses"))
+        check_keys("ordering tracker", state["ordering_tracker"],
+                   ("block", "demand_quartile", "current_quartile", "pending"))
+        slots = self.trackers.count
+        self.transfer.check_state(state["transfer"], slots)
+        check_indices("preload block waiters", state["block_waiters"], slots)
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""

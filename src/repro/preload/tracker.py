@@ -24,7 +24,9 @@ sweep measures).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.btb.entry import check_keys
 
 
 class TrackerState(enum.Enum):
@@ -178,6 +180,23 @@ class TrackerFile:
             "dropped_miss_reports": self.dropped_miss_reports,
             "dropped_icache_reports": self.dropped_icache_reports,
         }
+
+    def check_state(self, state: dict) -> None:
+        """Raise ``ValueError`` unless :meth:`load_state_dict` restores it whole.
+
+        The file's keys and every tracker's fields must be present, and
+        every tracker state name known.
+        """
+        check_keys("tracker file", state, (
+            "trackers", "allocations", "dropped_miss_reports",
+            "dropped_icache_reports"))
+        names = [tracker_field.name for tracker_field in fields(SearchTracker)]
+        states = {tracker_state.value for tracker_state in TrackerState}
+        for tracker in state["trackers"]:
+            check_keys("tracker", tracker, names)
+            if tracker["state"] not in states:
+                raise ValueError(
+                    f"tracker snapshot: unknown state {tracker['state']!r}")
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.

@@ -210,48 +210,50 @@ class TestContentResolution:
     def test_bimodal_drives_direction_and_target(self):
         h = make_hierarchy()
         entry = BTBEntry(address=0x104, target=0x300)
-        resolution = h.resolve_content(entry)
-        assert resolution.taken
-        assert resolution.target == 0x300
-        assert not resolution.used_pht and not resolution.used_ctb
+        taken, target, used_pht, used_ctb = h.resolve_content(entry)
+        assert taken
+        assert target == 0x300
+        assert not used_pht and not used_ctb
 
     def test_not_taken_has_no_target(self):
         h = make_hierarchy()
         entry = BTBEntry(address=0x104, target=0x300, counter=STRONG_NOT_TAKEN)
-        resolution = h.resolve_content(entry)
-        assert not resolution.taken
-        assert resolution.target is None
+        taken, target, _, _ = h.resolve_content(entry)
+        assert not taken
+        assert target is None
 
     def test_pht_overrides_bimodal_when_enabled_and_tagged(self):
         h = make_hierarchy()
         entry = BTBEntry(address=0x104, target=0x300, use_pht=True)
         h.pht.update(0x104, h.history, taken=False)
         h.pht.update(0x104, h.history, taken=False)
-        resolution = h.resolve_content(entry)
-        assert resolution.used_pht
-        assert not resolution.taken
+        taken, _, used_pht, _ = h.resolve_content(entry)
+        assert used_pht
+        assert not taken
 
     def test_pht_ignored_without_control_bit(self):
         h = make_hierarchy()
         entry = BTBEntry(address=0x104, target=0x300)
         h.pht.update(0x104, h.history, taken=False)
         h.pht.update(0x104, h.history, taken=False)
-        assert h.resolve_content(entry).taken  # bimodal wins
+        taken, _, used_pht, _ = h.resolve_content(entry)
+        assert taken and not used_pht  # bimodal wins
 
     def test_ctb_overrides_target_when_trusted(self):
         h = make_hierarchy()
         entry = BTBEntry(address=0x104, target=0x300, use_ctb=True)
         h.ctb.update(0x104, h.history, target=0x500)
-        resolution = h.resolve_content(entry)
-        assert resolution.used_ctb
-        assert resolution.target == 0x500
+        _, target, _, used_ctb = h.resolve_content(entry)
+        assert used_ctb
+        assert target == 0x500
 
     def test_ctb_ignored_when_confidence_low(self):
         h = make_hierarchy()
         entry = BTBEntry(address=0x104, target=0x300, use_ctb=True,
                          ctb_confidence=0)
         h.ctb.update(0x104, h.history, target=0x500)
-        assert h.resolve_content(entry).target == 0x300
+        _, target, _, used_ctb = h.resolve_content(entry)
+        assert target == 0x300 and not used_ctb
 
 
 class TestTraining:

@@ -140,3 +140,40 @@ class TestBaselineFile:
         assert {spec.name for spec in TABLE4_WORKLOADS} <= set(
             document["predictors"]["paper"])
         assert document["scale"] == golden.GOLDEN_SCALE
+
+
+class TestMeasuresEveryCell:
+    """The gate simulates its cells; the result cache never answers."""
+
+    CELL = "TPF airline reservations"
+
+    def test_a_warm_result_cache_cannot_pass_a_changed_engine(
+            self, monkeypatch):
+        from repro.core.config import ZEC12_CONFIG_2
+        from repro.engine.simulator import Simulator
+        from repro.experiments.pool import RunSpec, run_many
+        from repro.workloads.catalog import workload_by_name
+
+        document = golden.load_baseline(golden.GOLDEN_PATH)
+        # The cell's entry in the result cache, from the unchanged engine.
+        run_many([RunSpec(workload=workload_by_name(self.CELL),
+                          config=ZEC12_CONFIG_2, scale=document["scale"],
+                          predictor="paper")], jobs=1)
+        penalty = Simulator._surprise_penalty
+
+        def sabotaged(simulator, record, guess_taken):
+            cycles = penalty(simulator, record, guess_taken)
+            return cycles + 7 if guess_taken and record.taken else cycles
+
+        monkeypatch.setattr(Simulator, "_surprise_penalty", sabotaged)
+        problems = golden.compare(document, jobs=1, predictors=("paper",),
+                                  workloads=(self.CELL,))
+        assert problems
+        assert all(problem.startswith(f"paper/{self.CELL}")
+                   for problem in problems)
+
+    def test_measuring_writes_no_result_cache_entry(self, tmp_path):
+        golden.measure(jobs=1, predictors=("paper",),
+                       workloads=(self.CELL,))
+        assert not (tmp_path / "results").exists() or not any(
+            (tmp_path / "results").iterdir())

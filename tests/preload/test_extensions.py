@@ -132,5 +132,5 @@ class TestSoftwarePreload:
                                    BranchKind.UNCOND)
         hit = hierarchy.first_hit_in_row(BLOCK + 0x40)
         assert hit is not None
-        resolution = hierarchy.resolve_content(hit.entry)
-        assert resolution.taken and resolution.target == BLOCK + 0x90
+        taken, target, _, _ = hierarchy.resolve_content(hit.entry)
+        assert taken and target == BLOCK + 0x90

@@ -1,5 +1,8 @@
 """Tests for the BTB2 bulk transfer engine timing (section 3.6)."""
 
+import heapq
+import random
+
 from repro.btb.btb2 import BTB2
 from repro.btb.entry import BTBEntry
 from repro.core.config import ExclusivityMode
@@ -28,6 +31,24 @@ def make_engine(exclusivity=ExclusivityMode.SEMI_EXCLUSIVE, drained=None):
 def tracker_for(block=BLOCK):
     return SearchTracker(block=block, state=TrackerState.FULL,
                          miss_address=block)
+
+
+def reordered(state, order):
+    """``state`` with its queued and in-flight rows in another order.
+
+    ``heap`` lays each list out as a binary heap built from its rows in
+    reverse (a valid heap, not a sorted list); ``shuffled`` shuffles them.
+    """
+    lists = {}
+    for key in ("queue", "inflight"):
+        rows = [list(row) for row in state[key]]
+        if order == "heap":
+            rows.reverse()
+            heapq.heapify(rows)
+        elif order == "shuffled":
+            random.Random(len(rows)).shuffle(rows)
+        lists[key] = rows
+    return {**state, **lists}
 
 
 class TestTiming:
@@ -184,12 +205,27 @@ class TestCheckpoint:
         return btb2, engine, installed, trackers
 
     def test_mid_transfer_snapshot_restores_and_resumes_identically(self):
+        """Rows restore from any order and resume as the pop-order state.
+
+        ``state_dict`` writes the rows in pop order; the same snapshot
+        with its rows in heap order (as the per-row heap engine wrote
+        them) or shuffled restores to the same engine.
+        """
+        for order in ("pop", "heap", "shuffled"):
+            self._restore_and_resume(order)
+
+    def _restore_and_resume(self, order):
         drained = []
         btb2, engine, installed, trackers = self._busy_engine(drained)
         assert engine.pending_rows and engine.inflight_rows
         state = engine.state_dict(trackers.index)
         assert {len(row) for row in state["queue"]} == {5}
         assert {len(row) for row in state["inflight"]} == {4}
+        assert state["queue"] == sorted(state["queue"])
+        assert state["inflight"] == sorted(state["inflight"])
+        stored = reordered(state, order)
+        if order != "pop":
+            assert stored["queue"] != state["queue"]
 
         # A fresh engine over copies of the BTB2 and trackers.
         copy_btb2 = BTB2(rows=256, ways=2)
@@ -204,7 +240,7 @@ class TestCheckpoint:
             on_tracker_drained=lambda tracker, cycle: copy_drained.append(
                 (copy_trackers.index(tracker), cycle)),
         )
-        copy.load_state_dict(state, copy_trackers.__getitem__)
+        copy.load_state_dict(stored, copy_trackers.__getitem__)
         assert copy.state_dict(copy_trackers.index) == state
 
         done = len(installed)

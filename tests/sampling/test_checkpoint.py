@@ -237,21 +237,49 @@ def _surprise_bht_slot(index):
     return tamper
 
 
+def _unknown_write_source(state):
+    sources = state["hierarchy"]["btbp"]["writes_by_source"]
+    sources["not_a_source"] = sources.pop("btb2_hit")
+
+
+def _unknown_tracker_state(state):
+    state["preload"]["trackers"]["trackers"][0]["state"] = "not_a_state"
+
+
+def _missing(*path):
+    """Drop the last key of ``path`` from the nested block it names."""
+    def tamper(state):
+        block = state
+        for key in path[:-1]:
+            block = block[key]
+        del block[path[-1]]
+    return tamper
+
+
 @pytest.mark.parametrize("tamper", [
     _three_item_warm_block,
     _unknown_btb_kind,
     _pht_slot(ZEC12_CONFIG_2.pht_entries),
     _pht_slot(-1),
     _surprise_bht_slot(-3),
+    _missing("counters", "context_switches"),
+    _missing("search", "miss_reports_made"),
+    _missing("preload", "counters"),
+    _missing("icache", "recent_misses"),
+    _missing("hierarchy", "fit", "misses"),
+    _unknown_write_source,
+    _unknown_tracker_state,
 ], ids=["warm-block-triple", "unknown-kind", "pht-past-end", "pht-negative",
-        "surprise-bht-negative"])
+        "surprise-bht-negative", "counters-key", "search-key", "preload-key",
+        "icache-key", "fit-key", "unknown-write-source",
+        "unknown-tracker-state"])
 def test_a_malformed_state_is_refused_untouched(tmp_path, tamper):
     """Content no restore can reproduce is refused before anything loads.
 
     Each state passes the version, fingerprint and column-length checks,
-    so only the simulator's own field reads and the tables' kind and index
-    checks stand between it and a half-restored (or silently different)
-    simulator.
+    so only the simulator's own field reads, the tables' kind and index
+    checks and the nested blocks' key checks stand between it and a
+    half-restored (or silently different) simulator.
     """
     from repro.telemetry.metrics import REGISTRY
 
